@@ -1,7 +1,6 @@
 #include "sunfloor/dist/coordinator.h"
 
 #include <chrono>
-#include <exception>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "sunfloor/dist/shard.h"
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/service/protocol.h"
 #include "sunfloor/service/transport.h"
 #include "sunfloor/util/enum_names.h"
 #include "sunfloor/util/mutex.h"
@@ -40,21 +40,16 @@ const char* dist_error_kind_to_string(DistErrorKind kind) {
 }
 
 ShardResponse InprocTransport::run(const ShardRequest& req) {
-    // Full frame round trip on purpose: the inproc transport exists so
-    // tests (and TSan) can drive the exact socket code path without
-    // sockets, so it must not shortcut the codec.
+    // Full frame round trip on purpose: the frame goes through sunfloord's
+    // own request parser and the daemon's answer, so tests (and TSan)
+    // drive the exact socket code path without sockets. It must not
+    // shortcut the codec.
     std::string err;
-    WorkerRequest wreq;
-    if (!parse_worker_frame(make_shard_run_frame(req), wreq, err))
+    service::Request sreq;
+    if (!service::parse_request(make_shard_run_frame(req), 0, sreq, err))
         throw DistError(DistErrorKind::Protocol, "inproc: " + err);
-    std::string rframe;
-    try {
-        rframe = make_ok_frame(run_shard(wreq.run));
-    } catch (const std::exception& e) {
-        rframe = make_error_frame(e.what());
-    }
     std::string payload;
-    if (!parse_response_frame(rframe, payload, err))
+    if (!parse_response_frame(run_shard_frame(sreq.shard), payload, err))
         throw DistError(DistErrorKind::Transport, "inproc worker: " + err);
     ShardResponse resp;
     if (!decode_shard_response(payload, resp, err))

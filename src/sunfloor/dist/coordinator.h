@@ -71,15 +71,16 @@ class ShardTransport {
 };
 
 /// In-process worker. The request and response still make the full
-/// encode -> decode round trip, so both transports exercise the same
-/// codec path and a wire bug cannot hide behind the inproc fast path.
+/// encode -> parse -> decode round trip through service::parse_request,
+/// so both transports exercise the same parser and codec path and a wire
+/// bug cannot hide behind the inproc fast path.
 class InprocTransport : public ShardTransport {
   public:
     ShardResponse run(const ShardRequest& req) override;
     std::string describe() const override { return "inproc"; }
 };
 
-/// Socket worker speaking the dist frame protocol over the service
+/// Socket worker: a sunfloord serving the shard_run op over the service
 /// transport (unix path or host:port). Dials per job: jobs are few and
 /// heavy, and a fresh connection per job is what makes "any worker can
 /// take any re-queued job" trivially true.

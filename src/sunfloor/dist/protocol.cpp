@@ -463,51 +463,13 @@ std::string make_shard_run_frame(const ShardRequest& req) {
            to_hex(encode_shard_request(req)) + "\"}";
 }
 
-std::string make_ping_frame() { return "{\"op\":\"ping\"}"; }
-
 std::string make_ok_frame(const ShardResponse& resp) {
     return "{\"ok\":true,\"payload\":\"" +
            to_hex(encode_shard_response(resp)) + "\"}";
 }
 
-std::string make_pong_frame() { return "{\"ok\":true}"; }
-
 std::string make_error_frame(const std::string& msg) {
     return "{\"ok\":false,\"error\":" + json_quote(msg) + "}";
-}
-
-bool parse_worker_frame(const std::string& line, WorkerRequest& out,
-                        std::string& error) {
-    const JsonParseResult parsed = parse_json(line);
-    if (!parsed.ok) {
-        error = "malformed request frame: " + parsed.error;
-        return false;
-    }
-    const JsonValue* op = parsed.value.find("op");
-    if (op == nullptr || !op->is_string()) {
-        error = "request frame has no op";
-        return false;
-    }
-    if (op->as_string() == "ping") {
-        out.op = WorkerRequest::Op::Ping;
-        return true;
-    }
-    if (op->as_string() != "shard_run") {
-        error = "unknown op \"" + op->as_string() + "\"";
-        return false;
-    }
-    out.op = WorkerRequest::Op::ShardRun;
-    const JsonValue* payload = parsed.value.find("payload");
-    if (payload == nullptr || !payload->is_string()) {
-        error = "shard_run frame has no payload";
-        return false;
-    }
-    std::string bytes;
-    if (!from_hex(payload->as_string(), bytes)) {
-        error = "shard_run payload is not valid hex";
-        return false;
-    }
-    return decode_shard_request(bytes, out.run, error);
 }
 
 bool parse_response_frame(const std::string& line, std::string& payload,
@@ -530,9 +492,9 @@ bool parse_response_frame(const std::string& line, std::string& payload,
         return false;
     }
     const JsonValue* p = parsed.value.find("payload");
-    if (p == nullptr) return true;  // ping response
-    if (!p->is_string() || !from_hex(p->as_string(), payload)) {
-        error = "response payload is not valid hex";
+    if (p == nullptr || !p->is_string() ||
+        !from_hex(p->as_string(), payload)) {
+        error = "response payload is missing or not valid hex";
         return false;
     }
     return true;

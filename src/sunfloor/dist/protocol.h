@@ -15,14 +15,17 @@
 // newline-free JSON object per line,
 //
 //   request:  {"op":"shard_run","payload":"<hex>"}
-//             {"op":"ping"}
-//   response: {"ok":true,"payload":"<hex>"}          (ping: no payload)
+//   response: {"ok":true,"payload":"<hex>"}
 //             {"ok":false,"error":"..."}
 //
 // where the payload is the hex rendering of a little-endian binary blob
 // (cas/bincode.h primitives, doubles as raw bit patterns) carrying a
 // versioned, tagged ShardRequest or ShardResponse. Binary-in-hex keeps
 // the frame free of escaping concerns while preserving every double bit.
+//
+// shard_run is an op of sunfloord's protocol (service/protocol.h): the
+// daemon's service::parse_request is the one request parser, for socket
+// workers and the in-process transport alike.
 #pragma once
 
 #include <cstdint>
@@ -94,27 +97,16 @@ bool from_hex(std::string_view hex, std::string& bytes);
 // ------------------------------------------------------------- framing
 //
 // Frame builders return one JSON object with no trailing newline (the
-// transport appends it); parsers take one line as read_line returns it.
+// transport appends it); the parser takes one line as read_line returns
+// it. Request frames are parsed by service::parse_request.
 
 std::string make_shard_run_frame(const ShardRequest& req);
-std::string make_ping_frame();
 std::string make_ok_frame(const ShardResponse& resp);
-std::string make_pong_frame();
 std::string make_error_frame(const std::string& msg);
-
-/// A parsed request frame as the worker sees it.
-struct WorkerRequest {
-    enum class Op { ShardRun, Ping };
-    Op op = Op::Ping;
-    ShardRequest run;  ///< filled for Op::ShardRun
-};
-
-bool parse_worker_frame(const std::string& line, WorkerRequest& out,
-                        std::string& error);
 
 /// Parse a response line into its decoded (binary) payload. Returns false
 /// with `error` set on malformed JSON, a remote {"ok":false} error, or a
-/// bad hex payload. Ping responses yield an empty payload.
+/// missing or bad hex payload.
 bool parse_response_frame(const std::string& line, std::string& payload,
                           std::string& error);
 

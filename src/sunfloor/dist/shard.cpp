@@ -1,13 +1,7 @@
 #include "sunfloor/dist/shard.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <exception>
 #include <memory>
-#include <stdexcept>
 #include <utility>
 
 #include "sunfloor/cas/codec.h"
@@ -53,121 +47,12 @@ ShardResponse run_shard(const ShardRequest& req) {
     return resp;
 }
 
-WorkerServer::WorkerServer(WorkerOptions opts)
-    : opts_(std::move(opts)), pending_(8) {
-    if (opts_.conn_threads < 1) opts_.conn_threads = 1;
-}
-
-WorkerServer::~WorkerServer() {
-    request_shutdown();
-    wait();
-    service::close_fd(shutdown_pipe_[0]);
-    service::close_fd(shutdown_pipe_[1]);
-    shutdown_pipe_[0] = shutdown_pipe_[1] = -1;
-}
-
-bool WorkerServer::start(std::string& error) {
-    if (!service::parse_address(opts_.listen, addr_, error)) return false;
-    if (::pipe(shutdown_pipe_) != 0) {
-        error = "cannot create shutdown pipe";
-        return false;
+std::string run_shard_frame(const ShardRequest& req) {
+    try {
+        return make_ok_frame(run_shard(req));
+    } catch (const std::exception& e) {
+        return make_error_frame(e.what());
     }
-    listen_fd_ = service::listen_on(addr_, error);
-    if (listen_fd_ < 0) return false;
-    started_ = true;
-    accept_thread_ = std::thread([this] { accept_loop(); });
-    handlers_.reserve(static_cast<std::size_t>(opts_.conn_threads));
-    for (int i = 0; i < opts_.conn_threads; ++i)
-        handlers_.emplace_back([this] { handler_loop(); });
-    return true;
-}
-
-void WorkerServer::request_shutdown() {
-    if (shutdown_pipe_[1] < 0) return;
-    const char b = 1;
-    [[maybe_unused]] const ssize_t n = ::write(shutdown_pipe_[1], &b, 1);
-}
-
-void WorkerServer::wait() {
-    if (!started_) return;
-    if (accept_thread_.joinable()) accept_thread_.join();
-    for (std::thread& t : handlers_)
-        if (t.joinable()) t.join();
-}
-
-void WorkerServer::accept_loop() {
-    for (;;) {
-        pollfd fds[2] = {{listen_fd_, POLLIN, 0},
-                         {shutdown_pipe_[0], POLLIN, 0}};
-        const int pr = ::poll(fds, 2, -1);
-        if (pr < 0) {
-            if (errno == EINTR) continue;
-            break;
-        }
-        if (fds[1].revents != 0) break;  // shutdown byte
-        if ((fds[0].revents & POLLIN) == 0) continue;
-        const int conn = ::accept(listen_fd_, nullptr, nullptr);
-        if (conn < 0) continue;
-        // Receive timeout so an idle connection's handler notices a
-        // shutdown within ~half a second instead of blocking in read().
-        timeval tv{};
-        tv.tv_usec = 500 * 1000;
-        ::setsockopt(conn, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        if (pending_.try_send(conn) != TrySend::Ok) {
-            service::write_all(
-                conn, make_error_frame("worker busy: too many pending "
-                                       "connections") +
-                          "\n");
-            service::close_fd(conn);
-        }
-    }
-    shutting_down_.store(true, std::memory_order_relaxed);
-    pending_.close();
-    service::close_fd(listen_fd_);
-    listen_fd_ = -1;
-}
-
-void WorkerServer::handler_loop() {
-    int fd = -1;
-    while (pending_.recv(fd)) serve_connection(fd);
-}
-
-void WorkerServer::serve_connection(int fd) {
-    std::string buf;
-    std::string line;
-    std::string err;
-    for (;;) {
-        const int r = service::read_line(
-            fd, buf, line,
-            static_cast<std::size_t>(
-                opts_.max_frame_bytes > 0 ? opts_.max_frame_bytes : 0),
-            err);
-        if (r == 0) break;  // clean EOF
-        if (r == -2) {      // receive timeout: idle connection
-            if (shutting_down_.load(std::memory_order_relaxed)) break;
-            continue;
-        }
-        if (r < 0) {
-            service::write_all(fd, make_error_frame(err) + "\n");
-            break;
-        }
-        std::string resp;
-        WorkerRequest req;
-        std::string perr;
-        if (!parse_worker_frame(line, req, perr)) {
-            resp = make_error_frame(perr);
-        } else if (req.op == WorkerRequest::Op::Ping) {
-            resp = make_pong_frame();
-        } else {
-            try {
-                resp = make_ok_frame(run_shard(req.run));
-            } catch (const std::exception& e) {
-                resp = make_error_frame(e.what());
-            }
-        }
-        if (!service::write_all(fd, resp + "\n")) break;
-    }
-    service::close_fd(fd);
 }
 
 }  // namespace sunfloor::dist

@@ -255,6 +255,29 @@ bool parse_id_request(const JsonValue& root, const char* op, bool allow_wait,
     return true;
 }
 
+bool parse_shard_run(const JsonValue& root, dist::ShardRequest& out,
+                     std::string& error) {
+    const JsonValue* payload = nullptr;
+    for (const auto& [key, val] : root.members()) {
+        if (key == "op") continue;
+        if (key != "payload")
+            return fail(error, format("unknown field \"%s\" in shard_run "
+                                      "request",
+                                      key.c_str()));
+        payload = &val;
+    }
+    if (!payload)
+        return fail(error, "shard_run request missing required field "
+                           "\"payload\"");
+    std::string bytes;
+    if (!payload->is_string() || !dist::from_hex(payload->as_string(), bytes))
+        return fail(error, "bad \"payload\" value: expected a hex string");
+    std::string derr;
+    if (!dist::decode_shard_request(bytes, out, derr))
+        return fail(error, "bad \"payload\" value: " + derr);
+    return true;
+}
+
 bool reject_extra_fields(const JsonValue& root, const char* op,
                          std::string& error) {
     for (const auto& [key, val] : root.members()) {
@@ -307,9 +330,13 @@ bool parse_request(std::string_view frame, long long max_frame_bytes,
         out.op = Request::Op::Shutdown;
         return reject_extra_fields(parsed.value, "shutdown", error);
     }
+    if (op == "shard_run") {
+        out.op = Request::Op::ShardRun;
+        return parse_shard_run(parsed.value, out.shard, error);
+    }
     return fail(error,
                 format("unknown op \"%s\" (expected "
-                       "submit|status|result|stats|shutdown)",
+                       "submit|status|result|stats|shutdown|shard_run)",
                        op.c_str()));
 }
 

@@ -16,6 +16,7 @@
 //   {"op":"result","id":7,"wait":true}
 //   {"op":"stats"}
 //   {"op":"shutdown"}
+//   {"op":"shard_run","payload":"<hex>"}
 //
 // "kind":"explore" turns the config's axis knobs (freq_mhz, max_tsvs,
 // width_bits, theta, phase, routing — scalar or array each) into a
@@ -25,11 +26,18 @@
 // numeric knobs are all rejected with an error naming the offending
 // field (pinned by tests/service_proto_test.cpp).
 //
+// "shard_run" carries one distributed-exploration slice: the payload is
+// the hex of a dist::encode_shard_request blob (dist/protocol.h), decoded
+// here, so a bad payload is a named protocol error like any other. The
+// server runs it synchronously (dist::run_shard_frame) and answers with
+// the dist response frame, {"ok":true,"payload":"<hex>"}.
+//
 // Responses:
 //   accepted   {"ok":true,"id":7,"status":"queued"}
 //   rejected   {"ok":false,"rejected":"queue-full","error":"..."}
 //   status     {"ok":true,"id":7,"status":"running"}
 //   result     {"ok":true,"id":7,"status":"done","result":{...,"csv":"..."}}
+//   shard_run  {"ok":true,"payload":"<hex>"}
 //   error      {"ok":false,"error":"..."}
 #pragma once
 
@@ -39,6 +47,7 @@
 #include <vector>
 
 #include "sunfloor/core/synthesizer.h"
+#include "sunfloor/dist/protocol.h"
 #include "sunfloor/routing/policy.h"
 #include "sunfloor/spec/parser.h"
 #include "sunfloor/util/rng.h"
@@ -92,11 +101,12 @@ struct JobRequest {
 };
 
 struct Request {
-    enum class Op { Submit, Status, Result, Stats, Shutdown };
+    enum class Op { Submit, Status, Result, Stats, Shutdown, ShardRun };
     Op op = Op::Stats;
     SubmitRequest submit;   ///< Op::Submit only
     std::uint64_t id = 0;   ///< Op::Status / Op::Result
     bool wait = false;      ///< Op::Result: block until terminal
+    dist::ShardRequest shard;  ///< Op::ShardRun: the decoded payload
 };
 
 /// Parse and validate one request frame. False on any violation, with

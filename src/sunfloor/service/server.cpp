@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <utility>
 
+#include "sunfloor/dist/shard.h"
 #include "sunfloor/explore/export.h"
 #include "sunfloor/obs/trace.h"
 #include "sunfloor/util/strings.h"
@@ -242,6 +243,8 @@ std::string Server::handle(const Request& req) {
         case Request::Op::Shutdown:
             request_shutdown();
             return "{\"ok\":true,\"status\":\"draining\"}";
+        case Request::Op::ShardRun:
+            return dist::run_shard_frame(req.shard);
     }
     return error_response("unhandled op");
 }

@@ -5,7 +5,10 @@
 // of connection-handler threads (back-pressure: when the hand-off channel
 // is full the connection is answered with a "busy" rejection and closed,
 // never queued unboundedly). Each handler serves line-delimited JSON
-// requests (protocol.h) until the peer disconnects.
+// requests (protocol.h) until the peer disconnects. A shard_run request
+// bypasses the engine: the handler runs the slice itself
+// (dist::run_shard_frame), so a coordinator's call waits while the
+// worker is busy.
 //
 // Shutdown: request_shutdown() — or a signal handler writing one byte to
 // shutdown_fd(), which is the only async-signal-safe entry point — wakes

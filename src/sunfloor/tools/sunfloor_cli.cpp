@@ -49,7 +49,7 @@
 // single-process run of the same grid):
 //   --shards <n>              split the grid into n contiguous shard jobs
 //   --shard-transport <t>     inproc|socket (default inproc; socket ships
-//                             jobs to sunfloor_shard_worker processes)
+//                             jobs to sunfloord processes as shard_run)
 //   --shard-addrs <a>[,...]   worker addresses (socket transport); one
 //                             transport per address, jobs re-queue on
 //                             worker failure
@@ -262,6 +262,16 @@ bool parse_int_list(const char* arg, std::vector<int>& out) {
         out.push_back(v);
     }
     return !out.empty();
+}
+
+/// --seed of synth, explore and simulate: an integer in [0, 2^63), the
+/// range submit and sunfloord accept, so a served job's seed reproduces
+/// on the one-shot CLI.
+bool parse_seed(const char* arg, std::uint64_t& out) {
+    long long v = 0;
+    if (!arg || !parse_int64(arg, v) || v < 0) return false;
+    out = static_cast<std::uint64_t>(v);
+    return true;
 }
 
 /// Generator knobs shared by `generate` and `explore --family`. Returns
@@ -535,10 +545,7 @@ int run_explore(int argc, char** argv) {
             const char* v = next();
             if (!v || !parse_int(v, opts.num_threads)) return usage(argv[0]);
         } else if (arg == "--seed") {
-            const char* v = next();
-            int seed = 0;
-            if (!v || !parse_int(v, seed)) return usage(argv[0]);
-            opts.base_seed = static_cast<std::uint64_t>(seed);
+            if (!parse_seed(next(), opts.base_seed)) return usage(argv[0]);
         } else if (arg == "--no-floorplan") {
             cfg.run_floorplan = false;
         } else if (arg == "--no-cache") {
@@ -860,10 +867,7 @@ int run_simulate(int argc, char** argv) {
                 return bad_enum_value("--routing", v,
                                       routing::routing_choices());
         } else if (arg == "--seed") {
-            const char* v = next();
-            int seed = 0;
-            if (!v || !parse_int(v, seed)) return usage(argv[0]);
-            cfg.seed = static_cast<std::uint64_t>(seed);
+            if (!parse_seed(next(), cfg.seed)) return usage(argv[0]);
             sp.seed = cfg.seed;
         } else if (arg == "--no-floorplan") {
             cfg.run_floorplan = false;
@@ -1012,10 +1016,7 @@ int run_synthesize(int argc, char** argv) {
                 return bad_enum_value("--routing", v,
                                       routing::routing_choices());
         } else if (arg == "--seed") {
-            const char* v = next();
-            int seed = 0;
-            if (!v || !parse_int(v, seed)) return usage(argv[0]);
-            cfg.seed = static_cast<std::uint64_t>(seed);
+            if (!parse_seed(next(), cfg.seed)) return usage(argv[0]);
         } else if (arg == "--no-floorplan") {
             cfg.run_floorplan = false;
         } else if (arg == "--out") {

@@ -5,6 +5,12 @@
 // worker pool with warm per-spec pipeline sessions (service/job_engine.h).
 // Results are byte-identical to one-shot sunfloor_cli runs.
 //
+// Ops: submit, status, result, stats, shutdown, and shard_run — one slice
+// of a distributed exploration (dist/protocol.h), run synchronously on
+// the connection's handler thread. sunfloord is therefore also the shard
+// worker of `sunfloor_cli explore --shard-transport socket`; a slice
+// frame must fit --max-frame-bytes.
+//
 // Usage:
 //   sunfloord --listen <path|host:port> [options]
 //
@@ -22,8 +28,8 @@
 //   --metrics <file|->        metrics snapshot JSON, written on exit
 //
 // SIGINT/SIGTERM shut down gracefully: stop accepting, reject new
-// submissions ("shutting-down"), finish every accepted job, flush the
-// --trace/--metrics sinks, exit 0.
+// submissions ("shutting-down"), finish every accepted job and the
+// shard_run in progress, flush the --trace/--metrics sinks, exit 0.
 #include <csignal>
 #include <cstdio>
 #include <string>

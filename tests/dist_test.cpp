@@ -2,7 +2,8 @@
 // single-process explorer over {inproc, socket} transports x {1, 2, 4}
 // workers x {analytic, sim} backends x {cold, warm} CAS, the associative
 // Pareto merge, slice boundaries, the wire codec and fault tolerance
-// (retry, worker retirement, typed failures).
+// (retry, worker retirement, typed failures). The socket worker is
+// sunfloord's own service::Server.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -17,6 +18,7 @@
 #include "sunfloor/dist/shard.h"
 #include "sunfloor/explore/export.h"
 #include "sunfloor/obs/metrics.h"
+#include "sunfloor/service/server.h"
 #include "sunfloor/spec/benchmarks.h"
 
 namespace sunfloor {
@@ -220,22 +222,28 @@ TEST(DistProtocol, ShardRequestRoundTripsCompletely) {
             dist::decode_shard_request(payload.substr(0, cut), out, err));
 }
 
-TEST(DistProtocol, FramesParseBothDirections) {
+TEST(DistProtocol, ResponseFramesParse) {
+    // Request frames are parsed by service::parse_request (pinned in
+    // service_proto_test); the response side is dist's own.
+    dist::ShardResponse resp;
+    resp.points.resize(2);
+    resp.points[0].phase_used = "phase1";
+    resp.points[1].designs = {"blob"};
+    resp.pareto = {ParetoEntry{1, 0}};
+    resp.stage.routing.misses = 3;
     std::string err;
-    dist::WorkerRequest wreq;
-    ASSERT_TRUE(dist::parse_worker_frame(dist::make_ping_frame(), wreq, err));
-    EXPECT_EQ(wreq.op, dist::WorkerRequest::Op::Ping);
-
     std::string payload;
-    ASSERT_TRUE(
-        dist::parse_response_frame(dist::make_pong_frame(), payload, err));
-    EXPECT_TRUE(payload.empty());
+    ASSERT_TRUE(dist::parse_response_frame(dist::make_ok_frame(resp),
+                                           payload, err))
+        << err;
+    EXPECT_EQ(payload, dist::encode_shard_response(resp));
 
     EXPECT_FALSE(dist::parse_response_frame(
         dist::make_error_frame("worker exploded"), payload, err));
     EXPECT_NE(err.find("worker exploded"), std::string::npos);
 
-    EXPECT_FALSE(dist::parse_worker_frame("not json", wreq, err));
+    EXPECT_FALSE(dist::parse_response_frame("{\"ok\":true}", payload, err));
+    EXPECT_EQ(err, "response payload is missing or not valid hex");
     EXPECT_FALSE(dist::parse_response_frame("not json", payload, err));
 }
 
@@ -301,14 +309,15 @@ void run_identity_matrix(EvalBackend backend, const ParamGrid& grid) {
     const std::string ref_csv = csv_of(ref);
     const std::string ref_json = normalized_json(ref, spec.name);
 
-    // One socket worker serves every socket transport below (transports
-    // dial per job, so N coordinator-side transports against one server is
-    // N workers' worth of concurrency).
+    // One sunfloord server serves every socket transport below
+    // (transports dial per job, so N coordinator-side transports against
+    // one server is N workers' worth of concurrency).
     TempDir sock_dir;
-    dist::WorkerOptions wopts;
+    service::ServerOptions wopts;
     wopts.listen = sock_dir.path + "/worker.sock";
+    wopts.engine.workers = 1;
     wopts.conn_threads = 4;
-    dist::WorkerServer server(wopts);
+    service::Server server(wopts);
     std::string err;
     ASSERT_TRUE(server.start(err)) << err;
 

@@ -4,18 +4,27 @@
 // result against the one-shot path, the named wire errors (malformed
 // frames, oversized frames, unknown ids), and graceful shutdown — the
 // shutdown op drains the in-flight work and wait() returns with every
-// accepted job finished.
+// accepted job finished. The same server is the shard worker of
+// distributed exploration: shard_run is served beside submits, answers
+// what the in-process transport answers, and survives a shutdown that
+// lands mid-slice.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "sunfloor/core/synthesizer.h"
+#include "sunfloor/dist/coordinator.h"
+#include "sunfloor/explore/param_grid.h"
 #include "sunfloor/io/report.h"
+#include "sunfloor/obs/metrics.h"
 #include "sunfloor/service/client.h"
 #include "sunfloor/service/protocol.h"
 #include "sunfloor/service/server.h"
@@ -60,6 +69,38 @@ std::string reference_csv(const DesignSpec& spec) {
     std::ostringstream os;
     design_points_table(res.points).write_csv(os);
     return os.str();
+}
+
+// A six-point slice of a frequency x TSV grid over `spec`; one explore
+// thread, so the session's stage hit/miss counters are deterministic too.
+dist::ShardRequest shard_request(const DesignSpec& spec) {
+    dist::ShardRequest req;
+    req.spec = spec;
+    req.base_cfg.run_floorplan = false;
+    req.opts.num_threads = 1;
+    ParamGrid grid;
+    grid.set_axis(ParamAxis::frequencies_hz({350e6, 400e6, 450e6}));
+    grid.set_axis(ParamAxis::max_tsvs({15, 25}));
+    req.points = grid.enumerate();
+    return req;
+}
+
+// The encoded response minus its wall-clock stage timings.
+std::string comparable(dist::ShardResponse r) {
+    for (pipeline::StageCounters* c :
+         {&r.stage.partition, &r.stage.routing, &r.stage.placement,
+          &r.stage.position_lp, &r.stage.evaluation})
+        c->compute_ms = 0.0;
+    return dist::encode_shard_response(r);
+}
+
+// Runs `req` through the socket transport on its own thread, as a
+// coordinator would. get() rethrows a transport DistError.
+std::future<std::string> shard_call(const std::string& address,
+                                    const dist::ShardRequest& req) {
+    return std::async(std::launch::async, [address, req] {
+        return comparable(dist::SocketTransport(address).run(req));
+    });
 }
 
 class ServiceE2E : public ::testing::Test {
@@ -261,6 +302,44 @@ TEST_F(ServiceE2E, ShutdownOpDrainsInFlightJobsBeforeWaitReturns) {
     Client late;
     std::string error;
     EXPECT_FALSE(late.connect(socket_path_, error));
+}
+
+TEST_F(ServiceE2E, OneServerServesSubmitAndShardRunConcurrently) {
+    const DesignSpec spec = e2e_spec();
+    const std::string want_csv = reference_csv(spec);
+    const dist::ShardRequest sreq = shard_request(spec);
+    const std::string want_shard =
+        comparable(dist::InprocTransport().run(sreq));
+
+    // The fixture serves two connections at once: the shard slice and the
+    // synth job run side by side.
+    std::future<std::string> shard = shard_call(socket_path_, sreq);
+    const JsonValue resp =
+        call(make_submit_frame(fast_submit(spec, /*wait=*/true)));
+    EXPECT_EQ(shard.get(), want_shard);
+    ASSERT_TRUE(ok_of(resp)) << error_of(resp);
+    const JsonValue* result = resp.find("result");
+    ASSERT_TRUE(result && result->is_object());
+    const JsonValue* csv = result->find("csv");
+    ASSERT_TRUE(csv && csv->is_string());
+    EXPECT_EQ(csv->as_string(), want_csv);
+}
+
+TEST_F(ServiceE2E, ShutdownDuringShardRunStillReturnsTheFullResponse) {
+    const dist::ShardRequest sreq = shard_request(e2e_spec(3));
+    const std::string want = comparable(dist::InprocTransport().run(sreq));
+
+    // Shut down once the server is computing the slice (its first LP
+    // solve has finished), so the drain overlaps the job.
+    obs::Counter& solves = obs::Registry::global().counter("lp.solves");
+    const long long before = solves.value();
+    std::future<std::string> shard = shard_call(socket_path_, sreq);
+    for (int i = 0; i < 5000 && solves.value() == before; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(solves.value(), before);
+    server_->request_shutdown();
+    EXPECT_EQ(shard.get(), want);
+    server_->wait();
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // with an error naming the offending field, byte, or limit — these
 // strings are part of the protocol surface, so the tests pin them.
 // Also covers the client frame builders (round-trip through
-// parse_request), build_job_request's spec-error passthrough, and the
-// batch_key artifact-affinity contract.
+// parse_request), the shard_run op's payload decoding,
+// build_job_request's spec-error passthrough, and the batch_key
+// artifact-affinity contract.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "sunfloor/dist/protocol.h"
+#include "sunfloor/explore/param_grid.h"
 #include "sunfloor/service/job_engine.h"
 #include "sunfloor/service/protocol.h"
 #include "sunfloor/service/transport.h"
@@ -82,7 +85,10 @@ TEST(ServiceProto, MissingOrBadOp) {
               "bad \"op\" value: expected a string");
     EXPECT_EQ(parse_error("{\"op\":\"frobnicate\"}"),
               "unknown op \"frobnicate\" (expected "
-              "submit|status|result|stats|shutdown)");
+              "submit|status|result|stats|shutdown|shard_run)");
+    EXPECT_EQ(parse_error("{\"op\":\"ping\"}"),
+              "unknown op \"ping\" (expected "
+              "submit|status|result|stats|shutdown|shard_run)");
 }
 
 // ------------------------------------------------------- submit validation
@@ -270,6 +276,68 @@ TEST(ServiceProto, IdAndNullaryFramesRoundTrip) {
     EXPECT_TRUE(req.wait);
     EXPECT_EQ(parse_ok(make_stats_frame()).op, Request::Op::Stats);
     EXPECT_EQ(parse_ok(make_shutdown_frame()).op, Request::Op::Shutdown);
+}
+
+// -------------------------------------------------------------- shard_run
+
+dist::ShardRequest tiny_shard_request() {
+    dist::ShardRequest req;
+    req.spec = make_benchmark("D_36_4");
+    req.base_cfg.run_floorplan = false;
+    req.base_cfg.eval.freq_hz = 123.456789e6;  // bit-exactness matters
+    ParamGrid grid;
+    grid.set_axis(ParamAxis::max_tsvs({15, 25}));
+    grid.set_axis(ParamAxis::thetas({4.0}));
+    req.points = grid.enumerate();
+    req.cas_dir = "/some/cas/dir";
+    req.cas_max_bytes = 4096;
+    return req;
+}
+
+std::string shard_run_frame(const std::string& payload_bytes) {
+    return "{\"op\":\"shard_run\",\"payload\":\"" +
+           dist::to_hex(payload_bytes) + "\"}";
+}
+
+TEST(ServiceProto, ShardRunFrameDecodesToARequestThatReencodesEqual) {
+    const dist::ShardRequest want = tiny_shard_request();
+    const std::string frame = dist::make_shard_run_frame(want);
+    const Request req = parse_ok(frame);
+    EXPECT_EQ(req.op, Request::Op::ShardRun);
+    EXPECT_EQ(dist::encode_shard_request(req.shard),
+              dist::encode_shard_request(want));
+    EXPECT_EQ(dist::make_shard_run_frame(req.shard), frame);
+}
+
+TEST(ServiceProto, ShardRunErrorsAreNamed) {
+    const std::string payload =
+        dist::encode_shard_request(tiny_shard_request());
+    const std::string hex = dist::to_hex(payload);
+
+    EXPECT_EQ(parse_error("{\"op\":\"shard_run\"}"),
+              "shard_run request missing required field \"payload\"");
+    EXPECT_EQ(parse_error("{\"op\":\"shard_run\",\"payload\":\"" + hex +
+                          "\",\"deadline_ms\":5}"),
+              "unknown field \"deadline_ms\" in shard_run request");
+    EXPECT_EQ(parse_error("{\"op\":\"shard_run\",\"payload\":\"" +
+                          hex.substr(1) + "\"}"),
+              "bad \"payload\" value: expected a hex string");  // odd
+    EXPECT_EQ(parse_error("{\"op\":\"shard_run\",\"payload\":\"zz" +
+                          hex + "\"}"),
+              "bad \"payload\" value: expected a hex string");  // non-hex
+    EXPECT_EQ(parse_error("{\"op\":\"shard_run\",\"payload\":42}"),
+              "bad \"payload\" value: expected a hex string");
+    EXPECT_EQ(parse_error(shard_run_frame(
+                  payload.substr(0, payload.size() - 1))),
+              "bad \"payload\" value: shard request: truncated or "
+              "trailing bytes");
+
+    // A payload of another wire version (the little-endian u32 that
+    // leads every blob) is refused, not misread.
+    std::string other = payload;
+    other[0] = static_cast<char>(dist::kWireVersion + 1);
+    EXPECT_EQ(parse_error(shard_run_frame(other)),
+              "bad \"payload\" value: shard request: bad version or tag");
 }
 
 // ------------------------------------------------------ build_job_request
