@@ -47,9 +47,12 @@ ShardResponse run_shard(const ShardRequest& req) {
     return resp;
 }
 
-std::string run_shard_frame(const ShardRequest& req) {
+std::string run_shard_frame(const ShardRequest& req, bool* ok) {
+    if (ok) *ok = false;
     try {
-        return make_ok_frame(run_shard(req));
+        std::string frame = make_ok_frame(run_shard(req));
+        if (ok) *ok = true;
+        return frame;
     } catch (const std::exception& e) {
         return make_error_frame(e.what());
     }

@@ -16,9 +16,10 @@
 
 namespace sunfloor::dist {
 
-/// Run one shard job. Throws std::runtime_error on an unusable request
-/// (unparseable spec, unopenable CAS directory) — the serving layer turns
-/// that into an {"ok":false} frame.
+/// Run one shard job. Throws on an unusable request (std::runtime_error:
+/// unparseable spec, unopenable CAS directory; std::invalid_argument: an
+/// out-of-domain config such as alpha outside [0, 1]) — the serving layer
+/// turns that into an {"ok":false} frame.
 ShardResponse run_shard(const ShardRequest& req);
 
 /// run_shard() rendered as its response frame: make_ok_frame() of the
@@ -26,7 +27,7 @@ ShardResponse run_shard(const ShardRequest& req);
 /// synchronously on the caller's thread — on sunfloord that is the
 /// connection's handler thread, which is the back-pressure: a worker busy
 /// with a slice makes the coordinator's call wait, it never queues slices
-/// invisibly.
-std::string run_shard_frame(const ShardRequest& req);
+/// invisibly. `ok`, when given, tells which of the two frames it is.
+std::string run_shard_frame(const ShardRequest& req, bool* ok = nullptr);
 
 }  // namespace sunfloor::dist

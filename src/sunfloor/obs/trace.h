@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 namespace sunfloor::obs {
 
@@ -83,11 +82,5 @@ void discard_trace();
 /// Events currently buffered over all threads (diagnostics and the
 /// overhead bench's spans-per-run estimate).
 std::size_t trace_buffered_events();
-
-/// Minimal JSON syntax checker (objects, arrays, strings, numbers, the
-/// three literals; UTF-8 passed through). Used by the trace/metrics tests
-/// and cheap enough to run over multi-megabyte traces. On failure returns
-/// false and names the byte offset in `error` when non-null.
-bool validate_json(std::string_view text, std::string* error = nullptr);
 
 }  // namespace sunfloor::obs

@@ -384,6 +384,12 @@ SynthesisSession::SynthesisSession(DesignSpec spec, SessionOptions opts)
 
 std::shared_ptr<const SynthesisSession::GraphEntry>
 SynthesisSession::graph_for(const PartitionGraphId& graph, double alpha) {
+    // alpha blends two non-negative terms; outside [0, 1] it makes edge
+    // weights negative, which the partitioner's greedy growth does not
+    // survive (it can leave a vertex with no block at all).
+    if (!(alpha >= 0.0 && alpha <= 1.0))
+        throw std::invalid_argument(
+            format("alpha %g is outside [0, 1]", alpha));
     const std::string key = "g|" + graph.key() + "|a=" + double_bits(alpha);
     {
         util::MutexLock lock(mu_);

@@ -259,7 +259,9 @@ class SynthesisSession {
 
     /// Build-or-fetch the partition graph named by `graph` for this
     /// spec + alpha (graph construction is deterministic and cheap; the
-    /// cache just avoids rebuilding per call).
+    /// cache just avoids rebuilding per call). Throws
+    /// std::invalid_argument for an alpha outside [0, 1], before anything
+    /// is partitioned.
     std::shared_ptr<const GraphEntry> graph_for(const PartitionGraphId& graph,
                                                 double alpha)
         SF_EXCLUDES(mu_);

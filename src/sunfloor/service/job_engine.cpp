@@ -416,19 +416,8 @@ namespace {
 
 JobResult execute_synth(const JobRequest& req,
                         pipeline::SynthesisSession& session) {
-    const JobParams& p = req.params;
-    SynthesisConfig cfg;
-    cfg.eval.freq_hz =
-        (p.freq_mhz.empty() ? 400.0 : p.freq_mhz.front()) * 1e6;
-    if (!p.max_tsvs.empty()) cfg.max_ill = p.max_tsvs.front();
-    if (!p.routings.empty()) cfg.routing = p.routings.front();
-    cfg.alpha = p.alpha;
-    cfg.seed = static_cast<std::uint64_t>(p.seed);
-    cfg.run_floorplan = p.floorplan;
-    const SynthesisPhase phase =
-        p.phases.empty() ? SynthesisPhase::Auto : p.phases.front();
-
-    const SynthesisResult res = session.run(cfg, phase);
+    const SynthSetup s = synth_setup(req.params);
+    const SynthesisResult res = session.run(s.cfg, s.phase);
 
     JobResult out;
     // The same bytes the one-shot CLI writes as <prefix>_points.csv
@@ -454,36 +443,16 @@ JobResult execute_explore(
     const JobRequest& req,
     const std::shared_ptr<pipeline::SynthesisSession>& session,
     int explore_threads) {
-    const JobParams& p = req.params;
-    SynthesisConfig cfg;
-    cfg.alpha = p.alpha;
-    cfg.run_floorplan = p.floorplan;
-
-    ParamGrid grid;
-    if (!p.freq_mhz.empty()) {
-        std::vector<double> hz;
-        hz.reserve(p.freq_mhz.size());
-        for (const double mhz : p.freq_mhz) hz.push_back(mhz * 1e6);
-        grid.set_axis(ParamAxis::frequencies_hz(hz));
-    }
-    if (!p.max_tsvs.empty())
-        grid.set_axis(ParamAxis::max_tsvs(p.max_tsvs));
-    if (!p.width_bits.empty())
-        grid.set_axis(ParamAxis::link_widths_bits(p.width_bits));
-    if (!p.phases.empty()) grid.set_axis(ParamAxis::phases(p.phases));
-    if (!p.thetas.empty()) grid.set_axis(ParamAxis::thetas(p.thetas));
-    if (!p.routings.empty())
-        grid.set_axis(ParamAxis::routing_policies(p.routings));
-
+    const ExploreSetup s = explore_setup(req.params);
     ExploreOptions opts;
     opts.num_threads = explore_threads;
-    opts.base_seed = static_cast<std::uint64_t>(p.seed);
+    opts.base_seed = s.seed;
 
     // A fresh Explorer per job on the *shared* session: stage artifacts
     // stay warm across jobs, while the per-point cache starts cold so the
     // exported cache_hit column matches a one-shot run byte for byte.
-    const Explorer explorer(session, cfg, opts);
-    const ExploreResult res = explorer.run(grid);
+    const Explorer explorer(session, s.cfg, opts);
+    const ExploreResult res = explorer.run(s.grid);
 
     JobResult out;
     std::ostringstream os;

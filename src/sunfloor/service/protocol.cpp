@@ -1,6 +1,7 @@
 #include "sunfloor/service/protocol.h"
 
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "sunfloor/explore/export.h"
@@ -51,31 +52,35 @@ bool collect_values(const JsonValue& v, const char* path,
     return true;
 }
 
-bool read_positive_doubles(const JsonValue& v, const char* path,
-                           std::vector<double>& out, std::string& error) {
-    std::vector<const JsonValue*> vals;
-    if (!collect_values(v, path, vals, error)) return false;
-    for (const JsonValue* e : vals) {
-        if (!e->is_number() || !(e->as_double() > 0.0))
-            return fail(error, format("bad \"%s\" value: expected a finite "
-                                      "number > 0",
-                                      path));
-        out.push_back(e->as_double());
+/// One numeric knob value checked against its domain (job_params.h);
+/// integer knobs must be JSON integers.
+template <typename R>
+bool read_number(const JsonValue& v, const char* path, flags::Range<R> r,
+                 R& out, std::string& error) {
+    bool ok = false;
+    if constexpr (std::is_integral_v<R>) {
+        ok = v.is_integer() && r.accepts(v.as_int64());
+        if (ok) out = v.as_int64();
+    } else {
+        ok = v.is_number() && r.accepts(v.as_double());
+        if (ok) out = v.as_double();
     }
+    if (!ok)
+        return fail(error,
+                    format("bad \"%s\" value: expected %s", path, r.expected));
     return true;
 }
 
-bool read_positive_ints(const JsonValue& v, const char* path,
-                        std::vector<int>& out, std::string& error) {
+/// A scalar-or-array numeric knob.
+template <typename T, typename R>
+bool read_numbers(const JsonValue& v, const char* path, flags::Range<R> r,
+                  std::vector<T>& out, std::string& error) {
     std::vector<const JsonValue*> vals;
     if (!collect_values(v, path, vals, error)) return false;
     for (const JsonValue* e : vals) {
-        if (!e->is_integer() || e->as_int64() < 1 ||
-            e->as_int64() > 1000000000)
-            return fail(error, format("bad \"%s\" value: expected an "
-                                      "integer >= 1",
-                                      path));
-        out.push_back(static_cast<int>(e->as_int64()));
+        R x{};
+        if (!read_number(*e, path, r, x, error)) return false;
+        out.push_back(static_cast<T>(x));
     }
     return true;
 }
@@ -83,19 +88,20 @@ bool read_positive_ints(const JsonValue& v, const char* path,
 bool parse_config(const JsonValue& cfg, JobParams& p, std::string& error) {
     for (const auto& [key, val] : cfg.members()) {
         if (key == "freq_mhz") {
-            if (!read_positive_doubles(val, "config.freq_mhz", p.freq_mhz,
-                                       error))
+            if (!read_numbers(val, "config.freq_mhz", knob::kPositive,
+                              p.freq_mhz, error))
                 return false;
         } else if (key == "max_tsvs") {
-            if (!read_positive_ints(val, "config.max_tsvs", p.max_tsvs,
-                                    error))
+            if (!read_numbers(val, "config.max_tsvs", knob::kCount,
+                              p.max_tsvs, error))
                 return false;
         } else if (key == "width_bits") {
-            if (!read_positive_ints(val, "config.width_bits", p.width_bits,
-                                    error))
+            if (!read_numbers(val, "config.width_bits", knob::kCount,
+                              p.width_bits, error))
                 return false;
         } else if (key == "theta") {
-            if (!read_positive_doubles(val, "config.theta", p.thetas, error))
+            if (!read_numbers(val, "config.theta", knob::kPositive,
+                              p.thetas, error))
                 return false;
         } else if (key == "phase") {
             std::vector<const JsonValue*> vals;
@@ -126,16 +132,12 @@ bool parse_config(const JsonValue& cfg, JobParams& p, std::string& error) {
                 p.routings.push_back(id);
             }
         } else if (key == "alpha") {
-            if (!val.is_number() || val.as_double() < 0.0 ||
-                val.as_double() > 1.0)
-                return fail(error, "bad \"config.alpha\" value: expected a "
-                                   "number in [0, 1]");
-            p.alpha = val.as_double();
+            if (!read_number(val, "config.alpha", knob::kAlpha, p.alpha,
+                             error))
+                return false;
         } else if (key == "seed") {
-            if (!val.is_integer() || val.as_int64() < 0)
-                return fail(error, "bad \"config.seed\" value: expected a "
-                                   "non-negative integer");
-            p.seed = val.as_int64();
+            if (!read_number(val, "config.seed", knob::kSeed, p.seed, error))
+                return false;
         } else if (key == "floorplan") {
             if (!val.is_bool())
                 return fail(error, "bad \"config.floorplan\" value: "

@@ -21,10 +21,11 @@
 // "kind":"explore" turns the config's axis knobs (freq_mhz, max_tsvs,
 // width_bits, theta, phase, routing — scalar or array each) into a
 // ParamGrid; synth jobs require single values and reject the
-// explore-only axes. Validation is strict, PR-5 style: oversized frames,
-// malformed JSON, unknown fields, and non-finite or out-of-domain
-// numeric knobs are all rejected with an error naming the offending
-// field (pinned by tests/service_proto_test.cpp).
+// explore-only axes. Validation is strict: oversized frames, malformed
+// JSON, unknown fields, and non-finite or out-of-domain numeric knobs are
+// all rejected with an error naming the offending field (pinned by
+// tests/service_proto_test.cpp). The knob domains are the CLI flags'
+// (job_params.h).
 //
 // "shard_run" carries one distributed-exploration slice: the payload is
 // the hex of a dist::encode_shard_request blob (dist/protocol.h), decoded
@@ -48,9 +49,8 @@
 
 #include "sunfloor/core/synthesizer.h"
 #include "sunfloor/dist/protocol.h"
-#include "sunfloor/routing/policy.h"
+#include "sunfloor/service/job_params.h"
 #include "sunfloor/spec/parser.h"
-#include "sunfloor/util/rng.h"
 
 namespace sunfloor::service {
 
@@ -62,23 +62,6 @@ enum class JobKind { Synth, Explore };
 const char* kind_to_string(JobKind k);
 bool kind_from_string(const std::string& s, JobKind& out);
 std::string kind_choices();
-
-/// Architectural knobs of one job. Axis vectors left empty take the
-/// server defaults (one 400 MHz / 25 TSV / default-width / auto-phase /
-/// theta-sweep / up-down point — the same defaults as the CLI). Synth
-/// jobs carry at most one value per axis and may not set the
-/// explore-only axes (theta, width_bits).
-struct JobParams {
-    std::vector<double> freq_mhz;
-    std::vector<int> max_tsvs;
-    std::vector<int> width_bits;
-    std::vector<double> thetas;
-    std::vector<SynthesisPhase> phases;
-    std::vector<routing::RoutingPolicyId> routings;
-    double alpha = 1.0;
-    long long seed = static_cast<long long>(Rng::kDefaultSeed);
-    bool floorplan = true;
-};
 
 /// Deserialized "submit" payload, before the spec text is parsed.
 struct SubmitRequest {

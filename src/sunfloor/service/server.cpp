@@ -53,13 +53,15 @@ std::string result_response(const JobStatus& st, const JobResult& r) {
     return out + "}}";
 }
 
-std::string stats_response(const EngineStats& st) {
+std::string stats_response(const EngineStats& st, long long shards_ok,
+                           long long shards_failed) {
     return format(
         "{\"ok\":true,\"stats\":{\"submitted\":%lld,\"completed\":%lld,"
         "\"failed\":%lld,\"rejected\":%lld,\"queued\":%d,\"running\":%d,"
-        "\"workers\":%d,\"sessions\":%d}}",
+        "\"workers\":%d,\"sessions\":%d,\"shards_ok\":%lld,"
+        "\"shards_failed\":%lld}}",
         st.submitted, st.completed, st.failed, st.rejected, st.queued,
-        st.running, st.workers, st.sessions);
+        st.running, st.workers, st.sessions, shards_ok, shards_failed);
 }
 
 const char kBusyResponse[] =
@@ -239,12 +241,18 @@ std::string Server::handle(const Request& req) {
             return result_response(st, r);
         }
         case Request::Op::Stats:
-            return stats_response(engine_->stats());
+            return stats_response(engine_->stats(), shards_ok(),
+                                  shards_failed());
         case Request::Op::Shutdown:
             request_shutdown();
             return "{\"ok\":true,\"status\":\"draining\"}";
-        case Request::Op::ShardRun:
-            return dist::run_shard_frame(req.shard);
+        case Request::Op::ShardRun: {
+            bool ok = false;
+            std::string frame = dist::run_shard_frame(req.shard, &ok);
+            (ok ? shards_ok_ : shards_failed_)
+                .fetch_add(1, std::memory_order_relaxed);
+            return frame;
+        }
     }
     return error_response("unhandled op");
 }

@@ -73,6 +73,15 @@ class Server {
 
     JobEngine& engine() { return *engine_; }
 
+    /// shard_run requests answered with a result / with an error frame.
+    /// They run beside the engine, so EngineStats does not count them.
+    long long shards_ok() const {
+        return shards_ok_.load(std::memory_order_relaxed);
+    }
+    long long shards_failed() const {
+        return shards_failed_.load(std::memory_order_relaxed);
+    }
+
   private:
     void accept_loop();
     void handler_loop();
@@ -88,6 +97,8 @@ class Server {
     int listen_fd_ = -1;
     int shutdown_pipe_[2] = {-1, -1};
     std::atomic<bool> shutting_down_{false};
+    std::atomic<long long> shards_ok_{0};
+    std::atomic<long long> shards_failed_{0};
     std::thread accept_thread_;
     std::vector<std::thread> handlers_;
     bool started_ = false;

@@ -13,6 +13,7 @@
 
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/util/flags.h"
 
 namespace sunfloor::tools {
 
@@ -22,22 +23,16 @@ class ObsSinks {
         if (tracing_) obs::discard_trace();
     }
 
-    /// 1 = consumed, 0 = not an obs flag, -1 = missing value.
-    template <typename NextFn>
-    int parse_flag(const std::string& arg, NextFn&& next) {
-        if (arg == "--trace") {
-            const char* v = next();
-            if (!v) return -1;
-            trace_path_ = v;
-            return 1;
-        }
-        if (arg == "--metrics") {
-            const char* v = next();
-            if (!v) return -1;
-            metrics_path_ = v;
-            return 1;
-        }
-        return 0;
+    /// The --trace / --metrics rows, bound to this sink pair.
+    flags::Flags flags() {
+        return {
+            {"--trace", "FILE",
+             "span trace, Chrome/Perfetto trace-event JSON",
+             flags::text(trace_path_)},
+            {"--metrics", "FILE|-",
+             "metrics-registry snapshot JSON; '-' writes to stdout",
+             flags::text(metrics_path_)},
+        };
     }
 
     /// Open both sinks and start recording. False (message printed) when

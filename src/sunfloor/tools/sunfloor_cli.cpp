@@ -1,120 +1,16 @@
 // sunfloor_cli — command-line front end of the SunFloor 3D tool.
 //
-// Usage:
-//   sunfloor_cli --design <file> [options]         # Section IV input file
-//   sunfloor_cli --benchmark <name> [options]      # built-in benchmark
-//   sunfloor_cli explore (--design <file> | --benchmark <name> |
-//                         --family <f>) [options]
-//   sunfloor_cli simulate (--design <file> | --benchmark <name>) [options]
-//   sunfloor_cli generate --family <f> [options]   # emit a generated spec
-//   sunfloor_cli submit --connect <addr> (--design <file> |
-//                       --benchmark <name>) [options]   # job to sunfloord
-//   sunfloor_cli status --connect <addr> --id <n>
-//   sunfloor_cli result --connect <addr> --id <n> [--wait]
-//   sunfloor_cli cas (stats | gc) --cas <dir> [--max-bytes <n>]
-//
-// Synthesis options:
-//   --freq <MHz>[,<MHz>...]   operating points to sweep  (default 400)
-//   --max-ill <n>             inter-layer link budget    (default 25)
-//   --alpha <0..1>            PG bandwidth/latency blend (default 1.0)
-//   --phase <auto|1|2>        synthesis phase            (default auto)
-//   --routing <policy>        routing policy: up-down|west-first|odd-even
-//                             (default up-down, the paper's discipline)
-//   --seed <n>                RNG seed                   (default fixed)
-//   --no-floorplan            skip NoC insertion legalization
-//   --out <prefix>            write <prefix>_topology.dot,
-//                             <prefix>_layer<k>.svg, <prefix>_points.csv
-//   --list-benchmarks         print built-in benchmark names and exit
-//
-// Explore options (each *-list axis expands the parameter grid):
-//   --freq <MHz>[,...]        frequency axis             (default 400)
-//   --max-tsvs <n>[,...]      TSV budget axis, in inter-layer links
-//                             (the paper's max_ill)      (default 25)
-//   --width <bits>[,...]      link width axis            (default 32)
-//   --phase <auto|1|2>[,...]  synthesis phase axis       (default auto)
-//   --theta <v>[,...]         fixed-theta axis           (default sweep)
-//   --routing <p>[,...]       routing-policy axis        (default up-down)
-//   --alpha <0..1>            PG bandwidth/latency blend (default 1.0)
-//   --threads <n>             worker threads; 0 = all cores (default 0)
-//   --no-cache                disable the evaluation cache
-//   --no-stage-reuse          recompute every pipeline stage per point
-//                             (disables cross-point artifact reuse)
-//   --backend <analytic|sim>  Pareto ranking backend     (default analytic)
-//   --rate <scale>            sim backend: injection scale (default 1.0)
-//   --traffic <kind>          sim backend: uniform|bursty|hotspot
-//   --packet-len <flits>      sim backend: packet length (default 4)
-//   --out <prefix>            write <prefix>_explore.csv, _explore.json
-//
-// Distributed exploration (explore; results are byte-identical to the
-// single-process run of the same grid):
-//   --shards <n>              split the grid into n contiguous shard jobs
-//   --shard-transport <t>     inproc|socket (default inproc; socket ships
-//                             jobs to sunfloord processes as shard_run)
-//   --shard-addrs <a>[,...]   worker addresses (socket transport); one
-//                             transport per address, jobs re-queue on
-//                             worker failure
-//   --cas <dir>               content-addressed artifact store shared by
-//                             all shards (also usable without --shards);
-//                             warm stages are loaded instead of recomputed
-//   --cas-max-bytes <n>       size bound handed to the shards' stores
-//
-// CAS maintenance (cas stats | cas gc):
-//   --cas <dir>               the store directory      (required)
-//   --max-bytes <n>           gc: evict LRU objects down to this bound
-//
-// Generator options (generate, and explore --family; specgen families):
-//   --family <f>              pipeline|hub|layered-dag
-//   --cores <n>               total cores                (default 24)
-//   --layers <n>              3-D layers                 (default 3)
-//   --peak-bw <mbps>          most-loaded core aggregate (default 900)
-//   --skew <s>                bandwidth skew 0..4        (default 0)
-//   --lat-slack <s>           latency constraint scale   (default 1.5)
-//   --resp <f>                response pairing fraction  (default 0.5)
-//   --hubs <k>                hub family: hot cores      (default 2)
-//   --hotspot <f>             hub family: hub bw share   (default 0.75)
-//   --stages <n>              dag family: stage count    (default 6)
-//   --fanout <n>              dag family: max fan-in     (default 3)
-// generate only:
-//   --seed <n>                generator seed             (default 1)
-//   --out <file>              write the spec file (default: stdout)
-// explore --family only:
-//   --instances <n>           members to generate        (default 4)
-//   --gen-seed <n>            first member seed          (default 1)
-//
-// Simulate options (flit-level simulation of the best synthesized design):
-//   --freq <MHz>              operating point            (default 400)
-//   --max-ill, --alpha, --phase, --routing, --seed, --no-floorplan
-//                             as above; adaptive policies (west-first,
-//                             odd-even) also select outputs per hop
-//   --rate <s>[,<s>...]       injection-scale sweep (default 0.25..1.0)
-//   --traffic <kind>          uniform|bursty|hotspot     (default uniform)
-//   --packet-len <flits>      flits per packet           (default 4)
-//   --buffers <flits>         per-link FIFO depth        (default 4)
-//   --warmup <cycles>         warmup phase               (default 2000)
-//   --measure <cycles>        measurement window         (default 10000)
-//   --out <prefix>            write <prefix>_sim.csv
-//
-// Service options (submit/status/result talk to a running sunfloord):
-//   --connect <addr>          unix socket path or host:port (required)
-//   --client <name>           client name for quota accounting
-//   --explore                 submit an explore job (axes may be lists)
-//   --freq, --max-tsvs, --width, --phase, --theta, --routing, --alpha,
-//   --seed, --no-floorplan    job config; synth jobs take single values,
-//                             explore jobs accept comma lists per axis
-//   --wait                    block until done; result CSV on stdout
-//                             (byte-identical to the one-shot CLI's
-//                             _points.csv / _explore.csv for the same
-//                             request)
-//   --id <n>                  job id (status/result)
-//
-// Observability (synth, explore and simulate):
-//   --trace <file>            span trace of the run, Chrome/Perfetto
-//                             trace-event JSON (open in ui.perfetto.dev)
-//   --metrics <file|->        metrics-registry snapshot JSON; '-' writes
-//                             to stdout for scripting
+// Subcommands: synthesis (the default), explore, simulate, generate,
+// submit / status / result (jobs on a running sunfloord) and cas
+// stats|gc. Each subcommand's flags are one table built from shared row
+// groups (util/flags.h); the usage text is generated from the tables and
+// is the flag reference — a subcommand run without its required flags
+// (`sunfloor_cli explore`) prints it. Exit codes: 0 success, 1 run or
+// I/O failure, 2 usage error, 3 a retryable daemon rejection.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -139,6 +35,7 @@
 #include "sunfloor/spec/benchmarks.h"
 #include "sunfloor/specgen/specgen.h"
 #include "sunfloor/tools/obs_sinks.h"
+#include "sunfloor/util/flags.h"
 #include "sunfloor/util/json.h"
 #include "sunfloor/util/strings.h"
 
@@ -146,56 +43,170 @@ using namespace sunfloor;
 
 namespace {
 
-int usage(const char* argv0) {
-    std::fprintf(stderr,
-                 "usage: %s (--design <file> | --benchmark <name>) "
-                 "[--freq MHz[,MHz...]] [--max-ill N] [--alpha A] "
-                 "[--phase auto|1|2] [--routing up-down|west-first|odd-even] "
-                 "[--seed N] [--no-floorplan] "
-                 "[--out prefix] [--trace file] [--metrics file|-] "
-                 "[--list-benchmarks]\n"
-                 "       %s explore (--design <file> | --benchmark <name> | "
-                 "--family pipeline|hub|layered-dag [generator knobs] "
-                 "[--instances N] [--gen-seed N]) "
-                 "[--freq MHz[,...]] [--max-tsvs N[,...]] [--width B[,...]] "
-                 "[--phase auto|1|2[,...]] [--theta V[,...]] "
-                 "[--routing P[,...]] [--alpha A] "
-                 "[--threads N] [--seed N] [--no-floorplan] [--no-cache] "
-                 "[--no-stage-reuse] [--backend analytic|sim] [--rate S] "
-                 "[--traffic uniform|bursty|hotspot] [--packet-len N] "
-                 "[--shards N] [--shard-transport inproc|socket] "
-                 "[--shard-addrs A[,A...]] [--cas dir] [--cas-max-bytes N] "
-                 "[--out prefix] [--trace file] [--metrics file|-]\n"
-                 "       %s simulate (--design <file> | --benchmark <name>) "
-                 "[--freq MHz] [--max-ill N] [--alpha A] [--phase auto|1|2] "
-                 "[--routing up-down|west-first|odd-even] "
-                 "[--seed N] [--no-floorplan] [--rate S[,S...]] "
-                 "[--traffic uniform|bursty|hotspot] [--packet-len N] "
-                 "[--buffers N] [--warmup N] [--measure N] [--out prefix] "
-                 "[--trace file] [--metrics file|-]\n"
-                 "       %s generate --family pipeline|hub|layered-dag "
-                 "[--cores N] [--layers N] [--peak-bw MBPS] [--skew S] "
-                 "[--lat-slack S] [--resp F] [--hubs K] [--hotspot F] "
-                 "[--stages N] [--fanout N] [--seed N] [--out file]\n"
-                 "       %s submit --connect <addr> (--design <file> | "
-                 "--benchmark <name>) [--client NAME] [--explore] "
-                 "[--freq MHz[,...]] [--max-tsvs N[,...]] [--width B[,...]] "
-                 "[--phase auto|1|2[,...]] [--theta V[,...]] "
-                 "[--routing P[,...]] [--alpha A] [--seed N] "
-                 "[--no-floorplan] [--wait]\n"
-                 "       %s status --connect <addr> --id <n>\n"
-                 "       %s result --connect <addr> --id <n> [--wait]\n"
-                 "       %s cas (stats | gc) --cas <dir> [--max-bytes N]\n",
-                 argv0, argv0, argv0, argv0, argv0, argv0, argv0, argv0);
-    return 2;
+using tools::ObsSinks;
+
+// ------------------------------------------------------------ row groups
+
+/// Where the design comes from: a Section IV file or a built-in benchmark.
+struct Source {
+    std::string design;
+    std::string benchmark;
+
+    bool one() const { return design.empty() != benchmark.empty(); }
+};
+
+flags::Flags source_flags(Source& s) {
+    return {
+        {"--design", "FILE", "Section IV design file", flags::text(s.design)},
+        {"--benchmark", "NAME", "built-in benchmark (--list-benchmarks)",
+         flags::text(s.benchmark)},
+    };
+}
+
+/// How a subcommand spells the architectural knobs: one point (simulate),
+/// one point over a frequency sweep (synthesis), or comma-list grid axes
+/// with --max-tsvs and the explore-only --width/--theta (explore, submit).
+enum class Knobs { Point, FreqSweep, Grid };
+
+/// The synthesis knobs, filling the JobParams a served job carries; the
+/// ranges are the wire protocol's (service/job_params.h).
+flags::Flags knob_flags(service::JobParams& p, Knobs k) {
+    namespace knob = service::knob;
+    const bool grid = k == Knobs::Grid;
+    const auto axis = [grid](auto& out, auto parse, std::string expected) {
+        return grid ? flags::list(out, std::move(parse), std::move(expected))
+                    : flags::single(out, std::move(parse), std::move(expected));
+    };
+    const auto number_axis = [grid](auto& out, auto range) {
+        return grid ? flags::list(out, range) : flags::single(out, range);
+    };
+    const char* list = grid ? "[,...]" : "";
+    flags::Flags f{
+        {"--freq", k == Knobs::Point ? "MHZ" : "MHZ[,...]",
+         k == Knobs::Point ? "operating frequency (default 400)"
+                           : "frequencies to sweep (default 400)",
+         k == Knobs::Point ? flags::single(p.freq_mhz, knob::kPositive)
+                           : flags::list(p.freq_mhz, knob::kPositive)},
+        {grid ? "--max-tsvs" : "--max-ill", std::string("N") + list,
+         "inter-layer link budget, the paper's max_ill (default 25)",
+         number_axis(p.max_tsvs, knob::kCount)},
+    };
+    if (grid)
+        f.push_back({"--width", "BITS[,...]",
+                     "link width (default 32)",
+                     flags::list(p.width_bits, knob::kCount)});
+    f.push_back({"--phase", std::string("auto|1|2") + list,
+                 "synthesis phase (default auto)",
+                 axis(p.phases, flags::in(phase_from_string),
+                      phase_choices())});
+    if (grid)
+        f.push_back({"--theta", "V[,...]",
+                     "fixed SPG theta (default: Algorithm 1 sweep)",
+                     flags::list(p.thetas, knob::kPositive)});
+    f.push_back({"--routing", std::string("POLICY") + list,
+                 routing::routing_choices() + " (default up-down)",
+                 axis(p.routings, flags::in(routing::routing_from_string),
+                      routing::routing_choices())});
+    return f + flags::Flags{
+        {"--alpha", "A", "PG bandwidth/latency blend, 0..1 (default 1.0)",
+         flags::one(p.alpha, knob::kAlpha)},
+        {"--seed", "N", "RNG seed, 0..2^63-1 (default fixed)",
+         flags::one(p.seed, knob::kSeed)},
+        {"--no-floorplan", "", "skip NoC insertion legalization",
+         flags::set_false(p.floorplan)},
+    };
+}
+
+/// Traffic knobs of the flit simulator; `rate` is the subcommand's
+/// injection-scale row (one value, or simulate's sweep).
+flags::Flags traffic_flags(sim::SimParams& sp, flags::Flag rate) {
+    return {
+        std::move(rate),
+        {"--traffic", "KIND", sim::traffic_choices() + " (default uniform)",
+         flags::one(sp.inject.traffic, flags::in(sim::traffic_from_string),
+                    sim::traffic_choices())},
+        {"--packet-len", "FLITS", "flits per packet (default 4)",
+         flags::one(sp.inject.packet_length_flits, flags::kPositiveInt)},
+    };
+}
+
+/// Spec-generator knobs of `generate` and `explore --family`. Only the
+/// parse can fail here; GenParams::validate() owns the ranges.
+flags::Flags gen_flags(specgen::GenParams& gp) {
+    return {
+        {"--family", "F", specgen::family_choices(),
+         flags::one(gp.family, flags::in(specgen::family_from_string),
+                    specgen::family_choices())},
+        {"--cores", "N", "total cores (default 24)",
+         flags::one(gp.num_cores, flags::kAnyInt)},
+        {"--layers", "N", "3-D layers (default 3)",
+         flags::one(gp.num_layers, flags::kAnyInt)},
+        {"--peak-bw", "MBPS", "most-loaded core aggregate (default 900)",
+         flags::one(gp.peak_core_bw_mbps, flags::kAnyNumber)},
+        {"--skew", "S", "bandwidth skew 0..4 (default 0)",
+         flags::one(gp.bw_skew, flags::kAnyNumber)},
+        {"--lat-slack", "S", "latency constraint scale (default 1.5)",
+         flags::one(gp.latency_slack, flags::kAnyNumber)},
+        {"--resp", "F", "response pairing fraction (default 0.5)",
+         flags::one(gp.response_fraction, flags::kAnyNumber)},
+        {"--hubs", "K", "hub family: hot cores (default 2)",
+         flags::one(gp.num_hubs, flags::kAnyInt)},
+        {"--hotspot", "F", "hub family: hub bw share (default 0.75)",
+         flags::one(gp.hotspot_fraction, flags::kAnyNumber)},
+        {"--stages", "N", "dag family: stage count (default 6)",
+         flags::one(gp.stages, flags::kAnyInt)},
+        {"--fanout", "N", "dag family: max fan-in (default 3)",
+         flags::one(gp.max_fanout, flags::kAnyInt)},
+    };
+}
+
+/// Distributed exploration (results are byte-identical to the
+/// single-process run of the same grid).
+struct ShardArgs {
+    int shards = 0;  ///< 0 = single-process explore
+    std::string transport = "inproc";
+    std::vector<std::string> addrs;
+    std::string cas_dir;
+    long long cas_max_bytes = 0;
+};
+
+flags::Flags shard_flags(ShardArgs& d) {
+    const flags::Parser<std::string> transport =
+        [](const std::string& s, std::string& out) {
+            out = s;
+            return s == "inproc" || s == "socket";
+        };
+    const flags::Parser<std::string> address =
+        [](const std::string& s, std::string& out) {
+            out = s;
+            return !s.empty();
+        };
+    return {
+        {"--shards", "N", "split the grid into N contiguous shard jobs",
+         flags::one(d.shards, flags::kPositiveInt)},
+        {"--shard-transport", "inproc|socket",
+         "socket ships shard jobs to sunfloord workers (default inproc)",
+         flags::one(d.transport, transport, "inproc|socket")},
+        {"--shard-addrs", "ADDR[,...]",
+         "socket workers; the socket transport unless one is named",
+         flags::list(d.addrs, address, "a worker address")},
+        {"--cas", "DIR", "content-addressed artifact store for all shards",
+         flags::text(d.cas_dir)},
+        {"--cas-max-bytes", "N", "size bound handed to the shards' stores",
+         flags::one(d.cas_max_bytes, flags::kNonNegative64)},
+    };
+}
+
+flags::Flag connect_flag(std::string& connect) {
+    return {"--connect", "ADDR", "sunfloord unix socket path or host:port",
+            flags::text(connect)};
 }
 
 /// Load a design file, or a benchmark with the annealed placement the
 /// benches use. Returns false (with a message on stderr) on failure.
-bool load_spec(const std::string& design_file, const std::string& benchmark,
-               DesignSpec& spec) {
-    if (!design_file.empty()) {
-        const ParseResult parsed = parse_design_file(design_file);
+bool load_spec(const Source& src, DesignSpec& spec) {
+    if (!src.design.empty()) {
+        const ParseResult parsed = parse_design_file(src.design);
         if (!parsed.ok) {
             std::fprintf(stderr, "parse error: %s\n", parsed.error.c_str());
             return false;
@@ -204,7 +215,7 @@ bool load_spec(const std::string& design_file, const std::string& benchmark,
         return true;
     }
     try {
-        spec = make_benchmark(benchmark);
+        spec = make_benchmark(src.benchmark);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return false;
@@ -216,139 +227,27 @@ bool load_spec(const std::string& design_file, const std::string& benchmark,
     return true;
 }
 
-/// Uniform parse-failure report for enum-valued flags (--phase, --backend,
-/// --traffic). All of them parse case-insensitively through one
-/// enum_names table per enum; this prints the matching canonical choices.
-int bad_enum_value(const char* flag, const char* value,
-                   const std::string& choices) {
-    std::fprintf(stderr, "bad %s value '%s' (expected %s)\n", flag,
-                 value ? value : "", choices.c_str());
-    return 2;
-}
-
-using tools::ObsSinks;
-
-/// Parse a "400,600" MHz list into Hz, shared by both subcommands; prints
-/// the offending token and returns false on a malformed or non-positive
-/// entry.
-bool parse_freq_list_hz(const char* arg, std::vector<double>& out) {
-    out.clear();
-    for (const auto& part : split(arg, ',')) {
-        double mhz = 0.0;
-        if (!parse_double(part, mhz) || mhz <= 0.0) {
-            std::fprintf(stderr, "bad --freq value '%s'\n", part.c_str());
-            return false;
-        }
-        out.push_back(mhz * 1e6);
-    }
-    return !out.empty();
-}
-
-bool parse_double_list(const char* arg, std::vector<double>& out) {
-    out.clear();
-    for (const auto& part : split(arg, ',')) {
-        double v = 0.0;
-        if (!parse_double(part, v)) return false;
-        out.push_back(v);
-    }
-    return !out.empty();
-}
-
-bool parse_int_list(const char* arg, std::vector<int>& out) {
-    out.clear();
-    for (const auto& part : split(arg, ',')) {
-        int v = 0;
-        if (!parse_int(part, v)) return false;
-        out.push_back(v);
-    }
-    return !out.empty();
-}
-
-/// --seed of synth, explore and simulate: an integer in [0, 2^63), the
-/// range submit and sunfloord accept, so a served job's seed reproduces
-/// on the one-shot CLI.
-bool parse_seed(const char* arg, std::uint64_t& out) {
-    long long v = 0;
-    if (!arg || !parse_int64(arg, v) || v < 0) return false;
-    out = static_cast<std::uint64_t>(v);
-    return true;
-}
-
-/// Generator knobs shared by `generate` and `explore --family`. Returns
-/// 1 when `arg` (plus its value) was consumed, 0 when it is not a
-/// generator flag, -1 on a bad value (message printed). Range checks live
-/// in GenParams::validate(); here only the parse can fail.
-template <typename NextFn>
-int parse_gen_flag(const std::string& arg, NextFn&& next,
-                   specgen::GenParams& gp, bool& have_family) {
-    const auto bad = [&](const char* v) {
-        std::fprintf(stderr, "bad %s value '%s'\n", arg.c_str(),
-                     v ? v : "");
-        return -1;
-    };
-    const auto int_knob = [&](int& out) {
-        const char* v = next();
-        return (v && parse_int(v, out)) ? 1 : bad(v);
-    };
-    const auto double_knob = [&](double& out) {
-        const char* v = next();
-        return (v && parse_double(v, out)) ? 1 : bad(v);
-    };
-    if (arg == "--family") {
-        const char* v = next();
-        if (!v || !specgen::family_from_string(v, gp.family)) {
-            bad_enum_value("--family", v, specgen::family_choices());
-            return -1;
-        }
-        have_family = true;
-        return 1;
-    }
-    if (arg == "--cores") return int_knob(gp.num_cores);
-    if (arg == "--layers") return int_knob(gp.num_layers);
-    if (arg == "--peak-bw") return double_knob(gp.peak_core_bw_mbps);
-    if (arg == "--skew") return double_knob(gp.bw_skew);
-    if (arg == "--lat-slack") return double_knob(gp.latency_slack);
-    if (arg == "--resp") return double_knob(gp.response_fraction);
-    if (arg == "--hubs") return int_knob(gp.num_hubs);
-    if (arg == "--hotspot") return double_knob(gp.hotspot_fraction);
-    if (arg == "--stages") return int_knob(gp.stages);
-    if (arg == "--fanout") return int_knob(gp.max_fanout);
-    return 0;
-}
+// ----------------------------------------------------------- subcommands
 
 int run_generate(int argc, char** argv) {
     specgen::GenParams gp;
-    bool have_family = false;
     long long seed = 1;
     std::string out_path;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--seed") {
-            const char* v = next();
-            if (!v || !parse_int64(v, seed) || seed < 0)
-                return usage(argv[0]);
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            out_path = v;
-        } else {
-            const int r = parse_gen_flag(arg, next, gp, have_family);
-            if (r < 0) return 2;
-            if (r == 0) {
-                std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-                return usage(argv[0]);
-            }
-        }
-    }
-    if (!have_family) {
-        std::fprintf(stderr, "generate requires --family (expected %s)\n",
-                     specgen::family_choices().c_str());
-        return 2;
-    }
+    const flags::Command cmd{
+        "sunfloor_cli generate --family F [options]",
+        gen_flags(gp) +
+            flags::Flags{
+                {"--seed", "N", "generator seed (default 1)",
+                 flags::one(seed, flags::kNonNegative64)},
+                {"--out", "FILE", "write the spec file (default: stdout)",
+                 flags::text(out_path)},
+            }};
+    const flags::Parsed args = flags::parse(cmd, argc, argv, 2);
+    if (!args.ok) return flags::kUsageExit;
+    if (!args.has("--family"))
+        return flags::usage_error(
+            cmd, "generate requires --family (expected " +
+                     specgen::family_choices() + ")");
 
     DesignSpec spec;
     try {
@@ -401,7 +300,7 @@ int run_explore_family(const specgen::GenParams& gp, int instances,
     std::printf("family %s: %d member(s), seeds %lld..%lld, %d cores, "
                 "%d layers, skew %g\n",
                 specgen::family_to_string(gp.family), instances, gen_seed,
-                gen_seed + instances - 1, gp.num_cores, gp.num_layers,
+                gen_seed + (instances - 1), gp.num_cores, gp.num_layers,
                 gp.bw_skew);
     std::printf("grid: %zu architectural points per member\n",
                 grid.cartesian_size());
@@ -459,277 +358,173 @@ int run_explore_family(const specgen::GenParams& gp, int instances,
 }
 
 int run_explore(int argc, char** argv) {
-    std::string design_file;
-    std::string benchmark;
-    std::string out_prefix;
-    SynthesisConfig cfg;
+    Source src;
+    service::JobParams p;
     ExploreOptions opts;
     opts.num_threads = 0;  // all cores
-    ParamGrid grid;
-    const char* sim_only_flag = nullptr;  // sim flag seen, for validation
     specgen::GenParams gp;
-    bool have_family = false;
     int instances = 4;
     long long gen_seed = 1;
-    std::string family_only_flag;  // generator flag seen, for validation
-    int shards = 0;                // 0 = single-process explore
-    bool shard_socket = false;
-    std::vector<std::string> shard_addrs;
-    std::string dist_only_flag;    // shard flag seen, for validation
-    std::string cas_dir;
-    long long cas_max_bytes = 0;
+    ShardArgs shard;
+    std::string out_prefix;
     ObsSinks sinks;
-
-    for (int i = 2; i < argc; ++i) try {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
+    const flags::Flags sim_rows = traffic_flags(
+        opts.sim,
+        {"--rate", "S", "sim backend: injection scale (default 1.0)",
+         flags::one(opts.sim.inject.injection_scale,
+                    flags::kNonNegativeNumber)});
+    const flags::Flags family_rows =
+        gen_flags(gp) +
+        flags::Flags{
+            {"--instances", "N", "family members to generate (default 4)",
+             flags::one(instances, flags::kPositiveInt)},
+            {"--gen-seed", "N", "first member seed (default 1)",
+             flags::one(gen_seed, flags::kNonNegative64)},
         };
-        if (arg == "--design") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            design_file = v;
-        } else if (arg == "--benchmark") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            benchmark = v;
-        } else if (arg == "--freq") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            std::vector<double> hz;
-            if (!parse_freq_list_hz(v, hz)) return 2;
-            grid.set_axis(ParamAxis::frequencies_hz(hz));
-        } else if (arg == "--max-tsvs") {
-            const char* v = next();
-            std::vector<int> tsvs;
-            if (!v || !parse_int_list(v, tsvs)) return usage(argv[0]);
-            grid.set_axis(ParamAxis::max_tsvs(tsvs));
-        } else if (arg == "--width") {
-            const char* v = next();
-            std::vector<int> widths;
-            if (!v || !parse_int_list(v, widths)) return usage(argv[0]);
-            grid.set_axis(ParamAxis::link_widths_bits(widths));
-        } else if (arg == "--phase") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            std::vector<SynthesisPhase> phases;
-            for (const auto& part : split(v, ',')) {
-                SynthesisPhase p;
-                if (!phase_from_string(part, p))
-                    return bad_enum_value("--phase", part.c_str(),
-                                          phase_choices());
-                phases.push_back(p);
-            }
-            grid.set_axis(ParamAxis::phases(phases));
-        } else if (arg == "--theta") {
-            const char* v = next();
-            std::vector<double> thetas;
-            if (!v || !parse_double_list(v, thetas)) return usage(argv[0]);
-            grid.set_axis(ParamAxis::thetas(thetas));
-        } else if (arg == "--routing") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            std::vector<routing::RoutingPolicyId> policies;
-            for (const auto& part : split(v, ',')) {
-                routing::RoutingPolicyId p;
-                if (!routing::routing_from_string(part, p))
-                    return bad_enum_value("--routing", part.c_str(),
-                                          routing::routing_choices());
-                policies.push_back(p);
-            }
-            grid.set_axis(ParamAxis::routing_policies(policies));
-        } else if (arg == "--alpha") {
-            const char* v = next();
-            if (!v || !parse_double(v, cfg.alpha)) return usage(argv[0]);
-        } else if (arg == "--threads") {
-            const char* v = next();
-            if (!v || !parse_int(v, opts.num_threads)) return usage(argv[0]);
-        } else if (arg == "--seed") {
-            if (!parse_seed(next(), opts.base_seed)) return usage(argv[0]);
-        } else if (arg == "--no-floorplan") {
-            cfg.run_floorplan = false;
-        } else if (arg == "--no-cache") {
-            opts.use_cache = false;
-        } else if (arg == "--no-stage-reuse") {
-            opts.reuse_stages = false;
-        } else if (arg == "--backend") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!backend_from_string(v, opts.backend))
-                return bad_enum_value("--backend", v, backend_choices());
-        } else if (arg == "--rate") {
-            const char* v = next();
-            if (!v || !parse_double(v, opts.sim.inject.injection_scale) ||
-                opts.sim.inject.injection_scale < 0.0)
-                return usage(argv[0]);
-            sim_only_flag = "--rate";
-        } else if (arg == "--traffic") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!sim::traffic_from_string(v, opts.sim.inject.traffic))
-                return bad_enum_value("--traffic", v,
-                                      sim::traffic_choices());
-            sim_only_flag = "--traffic";
-        } else if (arg == "--packet-len") {
-            const char* v = next();
-            if (!v || !parse_int(v, opts.sim.inject.packet_length_flits) ||
-                opts.sim.inject.packet_length_flits < 1)
-                return usage(argv[0]);
-            sim_only_flag = "--packet-len";
-        } else if (arg == "--shards") {
-            const char* v = next();
-            if (!v || !parse_int(v, shards) || shards < 1)
-                return usage(argv[0]);
-        } else if (arg == "--shard-transport") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            const std::string t = v;
-            if (t == "inproc")
-                shard_socket = false;
-            else if (t == "socket")
-                shard_socket = true;
-            else
-                return bad_enum_value("--shard-transport", v,
-                                      "inproc|socket");
-            dist_only_flag = "--shard-transport";
-        } else if (arg == "--shard-addrs") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            shard_addrs = split(v, ',');
-            if (shard_addrs.empty()) return usage(argv[0]);
-            shard_socket = true;
-        } else if (arg == "--cas") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            cas_dir = v;
-        } else if (arg == "--cas-max-bytes") {
-            const char* v = next();
-            if (!v || !parse_int64(v, cas_max_bytes) || cas_max_bytes < 0)
-                return usage(argv[0]);
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            out_prefix = v;
-        } else if (arg == "--instances") {
-            const char* v = next();
-            if (!v || !parse_int(v, instances) || instances < 1)
-                return usage(argv[0]);
-            family_only_flag = "--instances";
-        } else if (arg == "--gen-seed") {
-            const char* v = next();
-            if (!v || !parse_int64(v, gen_seed) || gen_seed < 0)
-                return usage(argv[0]);
-            family_only_flag = "--gen-seed";
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage(argv[0]);
-            if (ob == 1) continue;
-            const int r = parse_gen_flag(arg, next, gp, have_family);
-            if (r < 0) return 2;
-            if (r == 0) {
-                std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-                return usage(argv[0]);
-            }
-            if (arg != "--family") family_only_flag = arg;
-        }
-    } catch (const std::invalid_argument& e) {  // out-of-domain axis value
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-    }
-    const int sources = static_cast<int>(!design_file.empty()) +
-                        static_cast<int>(!benchmark.empty()) +
-                        static_cast<int>(have_family);
-    if (sources != 1) return usage(argv[0]);
-    if (sim_only_flag && opts.backend != EvalBackend::Simulated) {
+    const flags::Command cmd{
+        "sunfloor_cli explore (--design FILE | --benchmark NAME | "
+        "--family F) [options]",
+        source_flags(src) + knob_flags(p, Knobs::Grid) +
+            flags::Flags{
+                {"--threads", "N", "worker threads; 0 = all cores (default 0)",
+                 flags::one(opts.num_threads, flags::kAnyInt)},
+                {"--no-cache", "", "disable the evaluation cache",
+                 flags::set_false(opts.use_cache)},
+                {"--no-stage-reuse", "",
+                 "recompute every pipeline stage per point",
+                 flags::set_false(opts.reuse_stages)},
+                {"--backend", "analytic|sim",
+                 "Pareto ranking backend (default analytic)",
+                 flags::one(opts.backend, flags::in(backend_from_string),
+                            backend_choices())},
+            } +
+            sim_rows + shard_flags(shard) + family_rows +
+            flags::Flags{{"--out", "PREFIX",
+                          "write PREFIX_explore.csv, PREFIX_explore.json "
+                          "(PREFIX_family.csv with --family)",
+                          flags::text(out_prefix)}} +
+            sinks.flags()};
+    const flags::Parsed args = flags::parse(cmd, argc, argv, 2);
+    if (!args.ok) return flags::kUsageExit;
+    const auto first_seen = [&](const flags::Flags& rows) -> std::string {
+        for (const flags::Flag& f : rows)
+            if (f.name != "--family" && args.has(f.name)) return f.name;
+        return "";
+    };
+    const bool family = args.has("--family");
+    if (family ? !(src.design.empty() && src.benchmark.empty()) : !src.one())
+        return flags::usage_error(
+            cmd, "give exactly one of --design, --benchmark, --family");
+    if (const std::string f = first_seen(sim_rows);
+        !f.empty() && opts.backend != EvalBackend::Simulated) {
         std::fprintf(stderr,
                      "%s only affects the simulated backend; add "
                      "--backend sim\n",
-                     sim_only_flag);
+                     f.c_str());
         return 2;
     }
-    if (!family_only_flag.empty() && !have_family) {
+    if (const std::string f = first_seen(family_rows);
+        !f.empty() && !family) {
         std::fprintf(stderr,
                      "%s only affects generated families; add --family\n",
-                     family_only_flag.c_str());
+                     f.c_str());
         return 2;
     }
-    if (shards == 0 && !shard_addrs.empty())
-        shards = static_cast<int>(shard_addrs.size());
-    if (shards == 0 && !dist_only_flag.empty()) {
+    // Member seeds are gen_seed .. gen_seed + instances - 1, all < 2^63.
+    if (gen_seed > std::numeric_limits<long long>::max() - (instances - 1)) {
         std::fprintf(stderr,
-                     "%s only affects distributed runs; add --shards\n",
-                     dist_only_flag.c_str());
+                     "bad --gen-seed value '%lld' (expected at most "
+                     "2^63 - %d with --instances %d)\n",
+                     gen_seed, instances, instances);
         return 2;
     }
-    if (have_family && (shards > 0 || !cas_dir.empty())) {
+    if (shard.shards == 0 && !shard.addrs.empty())
+        shard.shards = static_cast<int>(shard.addrs.size());
+    if (shard.shards == 0 && args.has("--shard-transport")) {
+        std::fprintf(stderr,
+                     "--shard-transport only affects distributed runs; add "
+                     "--shards\n");
+        return 2;
+    }
+    if (family && (shard.shards > 0 || !shard.cas_dir.empty())) {
         std::fprintf(stderr,
                      "--shards/--cas do not apply to generated families\n");
         return 2;
     }
-    if (shard_socket && shard_addrs.empty()) {
+    // --shard-addrs picks the socket transport unless one is named.
+    const bool shard_socket =
+        shard.transport == "socket" ||
+        (!args.has("--shard-transport") && !shard.addrs.empty());
+    if (shard_socket && shard.addrs.empty()) {
         std::fprintf(stderr,
                      "--shard-transport socket requires --shard-addrs\n");
         return 2;
     }
 
+    const service::ExploreSetup setup = service::explore_setup(p);
+    opts.base_seed = setup.seed;
     if (!sinks.open()) return 1;
 
-    if (have_family) {
-        const int rc = run_explore_family(gp, instances, gen_seed, cfg,
-                                          grid, opts, out_prefix);
+    if (family) {
+        const int rc = run_explore_family(gp, instances, gen_seed, setup.cfg,
+                                          setup.grid, opts, out_prefix);
         if (!sinks.finish() && rc == 0) return 1;
         return rc;
     }
 
     DesignSpec spec;
-    if (!load_spec(design_file, benchmark, spec)) return 1;
+    if (!load_spec(src, spec)) return 1;
     std::printf("design '%s': %d cores, %d layers, %d flows\n",
                 spec.name.c_str(), spec.cores.num_cores(),
                 spec.cores.num_layers(), spec.comm.num_flows());
-    std::printf("grid: %zu architectural points\n", grid.cartesian_size());
+    std::printf("grid: %zu architectural points\n",
+                setup.grid.cartesian_size());
 
     ExploreResult res;
-    if (shards > 0) {
+    if (shard.shards > 0) {
         std::vector<std::shared_ptr<dist::ShardTransport>> workers;
         if (shard_socket) {
-            for (const std::string& a : shard_addrs)
+            for (const std::string& a : shard.addrs)
                 workers.push_back(std::make_shared<dist::SocketTransport>(a));
         } else {
-            for (int s = 0; s < shards; ++s)
+            for (int s = 0; s < shard.shards; ++s)
                 workers.push_back(std::make_shared<dist::InprocTransport>());
         }
         dist::DistOptions dopts;
-        dopts.shards = shards;
-        dopts.cas_dir = cas_dir;
-        dopts.cas_max_bytes = static_cast<std::uint64_t>(cas_max_bytes);
+        dopts.shards = shard.shards;
+        dopts.cas_dir = shard.cas_dir;
+        dopts.cas_max_bytes =
+            static_cast<std::uint64_t>(shard.cas_max_bytes);
         std::printf("distributing %d shard job(s) over %zu %s worker(s)\n",
-                    shards, workers.size(),
+                    shard.shards, workers.size(),
                     shard_socket ? "socket" : "inproc");
         try {
-            res = dist::distribute_explore(spec, cfg, opts,
-                                           grid.enumerate(), workers, dopts);
+            res = dist::distribute_explore(spec, setup.cfg, opts,
+                                           setup.grid.enumerate(), workers,
+                                           dopts);
         } catch (const dist::DistError& e) {
             std::fprintf(stderr, "distributed explore failed (%s): %s\n",
                          dist::dist_error_kind_to_string(e.kind()),
                          e.what());
             return 1;
         }
-    } else if (!cas_dir.empty()) {
+    } else if (!shard.cas_dir.empty()) {
         pipeline::SessionOptions sopts;
         try {
             sopts.cas = std::make_shared<cas::Store>(cas::StoreOptions{
-                cas_dir, static_cast<std::uint64_t>(cas_max_bytes), 60.0});
+                shard.cas_dir,
+                static_cast<std::uint64_t>(shard.cas_max_bytes), 60.0});
         } catch (const std::exception& e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;
         }
         auto session = std::make_shared<pipeline::SynthesisSession>(
             spec, std::move(sopts));
-        const Explorer explorer(std::move(session), cfg, opts);
-        res = explorer.run(grid);
+        const Explorer explorer(std::move(session), setup.cfg, opts);
+        res = explorer.run(setup.grid);
     } else {
-        const Explorer explorer(spec, cfg, opts);
-        res = explorer.run(grid);
+        const Explorer explorer(spec, setup.cfg, opts);
+        res = explorer.run(setup.grid);
     }
     if (!sinks.finish()) return 1;
 
@@ -815,112 +610,50 @@ int run_explore(int argc, char** argv) {
 }
 
 int run_simulate(int argc, char** argv) {
-    std::string design_file;
-    std::string benchmark;
-    std::string out_prefix;
-    double freq_mhz = 400.0;
-    SynthesisConfig cfg;
-    SynthesisPhase phase = SynthesisPhase::Auto;
+    Source src;
+    service::JobParams p;
     sim::SimParams sp;
     std::vector<double> rates{0.25, 0.5, 0.75, 1.0};
+    std::string out_prefix;
     ObsSinks sinks;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        auto next_ll = [&](long long& out) {
-            const char* v = next();
-            long long n = 0;
-            if (!v || !parse_int64(v, n) || n < 0) return false;
-            out = n;
-            return true;
-        };
-        if (arg == "--design") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            design_file = v;
-        } else if (arg == "--benchmark") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            benchmark = v;
-        } else if (arg == "--freq") {
-            const char* v = next();
-            if (!v || !parse_double(v, freq_mhz) || freq_mhz <= 0.0)
-                return usage(argv[0]);
-        } else if (arg == "--max-ill") {
-            const char* v = next();
-            if (!v || !parse_int(v, cfg.max_ill)) return usage(argv[0]);
-        } else if (arg == "--alpha") {
-            const char* v = next();
-            if (!v || !parse_double(v, cfg.alpha)) return usage(argv[0]);
-        } else if (arg == "--phase") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!phase_from_string(v, phase))
-                return bad_enum_value("--phase", v, phase_choices());
-        } else if (arg == "--routing") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!routing::routing_from_string(v, cfg.routing))
-                return bad_enum_value("--routing", v,
-                                      routing::routing_choices());
-        } else if (arg == "--seed") {
-            if (!parse_seed(next(), cfg.seed)) return usage(argv[0]);
-            sp.seed = cfg.seed;
-        } else if (arg == "--no-floorplan") {
-            cfg.run_floorplan = false;
-        } else if (arg == "--rate") {
-            const char* v = next();
-            if (!v || !parse_double_list(v, rates)) return usage(argv[0]);
-            for (double r : rates)
-                if (r < 0.0) return usage(argv[0]);
-        } else if (arg == "--traffic") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!sim::traffic_from_string(v, sp.inject.traffic))
-                return bad_enum_value("--traffic", v,
-                                      sim::traffic_choices());
-        } else if (arg == "--packet-len") {
-            const char* v = next();
-            if (!v || !parse_int(v, sp.inject.packet_length_flits) ||
-                sp.inject.packet_length_flits < 1)
-                return usage(argv[0]);
-        } else if (arg == "--buffers") {
-            const char* v = next();
-            if (!v || !parse_int(v, sp.buffer_depth_flits) ||
-                sp.buffer_depth_flits < 1)
-                return usage(argv[0]);
-        } else if (arg == "--warmup") {
-            if (!next_ll(sp.warmup_cycles)) return usage(argv[0]);
-        } else if (arg == "--measure") {
-            if (!next_ll(sp.measure_cycles) || sp.measure_cycles < 1)
-                return usage(argv[0]);
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            out_prefix = v;
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage(argv[0]);
-            if (ob == 1) continue;
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    if (design_file.empty() == benchmark.empty()) return usage(argv[0]);
+    const flags::Command cmd{
+        "sunfloor_cli simulate (--design FILE | --benchmark NAME) [options]",
+        source_flags(src) + knob_flags(p, Knobs::Point) +
+            traffic_flags(sp, {"--rate", "S[,...]",
+                               "injection-scale sweep (default "
+                               "0.25,0.5,0.75,1.0)",
+                               flags::list(rates, flags::kNonNegativeNumber)}) +
+            flags::Flags{
+                {"--buffers", "FLITS", "per-link FIFO depth (default 4)",
+                 flags::one(sp.buffer_depth_flits, flags::kPositiveInt)},
+                {"--warmup", "CYCLES", "warmup phase (default "
+                                       "2000)",
+                 flags::one(sp.warmup_cycles, flags::kNonNegative64)},
+                {"--measure", "CYCLES",
+                 "measurement window (default 10000)",
+                 flags::one(sp.measure_cycles, flags::kPositive64)},
+                {"--out", "PREFIX", "write PREFIX_sim.csv",
+                 flags::text(out_prefix)},
+            } +
+            sinks.flags()};
+    const flags::Parsed args = flags::parse(cmd, argc, argv, 2);
+    if (!args.ok) return flags::kUsageExit;
+    if (!src.one())
+        return flags::usage_error(cmd,
+                                  "give exactly one of --design, --benchmark");
     if (!sinks.open()) return 1;
 
     DesignSpec spec;
-    if (!load_spec(design_file, benchmark, spec)) return 1;
-    cfg.eval.freq_hz = freq_mhz * 1e6;
+    if (!load_spec(src, spec)) return 1;
+    const service::SynthSetup setup = service::synth_setup(p);
+    const SynthesisConfig& cfg = setup.cfg;
+    sp.seed = cfg.seed;
     sp.routing = cfg.routing;  // measure under the synthesis discipline
     std::printf("design '%s': %d cores, %d layers, %d flows\n",
                 spec.name.c_str(), spec.cores.num_cores(),
                 spec.cores.num_layers(), spec.comm.num_flows());
 
-    const SynthesisResult res = run_synthesis(spec, cfg, phase);
+    const SynthesisResult res = run_synthesis(spec, cfg, setup.phase);
     const int best = res.best_power_index();
     if (best < 0) {
         std::fprintf(stderr, "no valid design point to simulate\n");
@@ -930,7 +663,7 @@ int run_simulate(int argc, char** argv) {
     std::printf("simulating best design: %d switches, %.2f mW total, "
                 "zero-load %.2f cycles, at %.0f MHz\n",
                 dp.switch_count, dp.report.power.total_mw(),
-                dp.report.avg_latency_cycles, freq_mhz);
+                dp.report.avg_latency_cycles, cfg.eval.freq_hz / 1e6);
     std::printf("traffic %s, routing %s, %d-flit packets, %d-flit buffers, "
                 "%lld warmup + %lld measured cycles\n\n",
                 sim::traffic_to_string(sp.inject.traffic),
@@ -945,9 +678,9 @@ int run_simulate(int argc, char** argv) {
     // warmed engine's arenas instead of rebuilding both per rate.
     sim::Simulator simulator(dp.topo, spec, cfg.eval, sp.routing);
     for (double r : rates) {
-        sim::SimParams p = sp;
-        p.inject.injection_scale = r;
-        const sim::SimReport rep = simulator.run(spec, cfg.eval, p);
+        sim::SimParams at = sp;
+        at.inject.injection_scale = r;
+        const sim::SimReport rep = simulator.run(spec, cfg.eval, at);
         t.add_row({r, rep.offered_flits_per_cycle,
                    rep.accepted_flits_per_cycle, rep.avg_latency_cycles,
                    rep.p99_latency_cycles, rep.max_latency_cycles,
@@ -969,79 +702,50 @@ int run_simulate(int argc, char** argv) {
 }
 
 int run_synthesize(int argc, char** argv) {
-    std::string design_file;
-    std::string benchmark;
+    Source src;
+    service::JobParams p;
     std::string out_prefix;
-    std::vector<double> freqs_hz{400e6};
-    SynthesisConfig cfg;
-    SynthesisPhase phase = SynthesisPhase::Auto;
+    bool list_benchmarks = false;
     ObsSinks sinks;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--list-benchmarks") {
-            for (const auto& n : benchmark_names()) std::puts(n.c_str());
-            return 0;
-        }
-        if (arg == "--design") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            design_file = v;
-        } else if (arg == "--benchmark") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            benchmark = v;
-        } else if (arg == "--freq") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!parse_freq_list_hz(v, freqs_hz)) return 2;
-        } else if (arg == "--max-ill") {
-            const char* v = next();
-            if (!v || !parse_int(v, cfg.max_ill)) return usage(argv[0]);
-        } else if (arg == "--alpha") {
-            const char* v = next();
-            if (!v || !parse_double(v, cfg.alpha)) return usage(argv[0]);
-        } else if (arg == "--phase") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!phase_from_string(v, phase))
-                return bad_enum_value("--phase", v, phase_choices());
-        } else if (arg == "--routing") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            if (!routing::routing_from_string(v, cfg.routing))
-                return bad_enum_value("--routing", v,
-                                      routing::routing_choices());
-        } else if (arg == "--seed") {
-            if (!parse_seed(next(), cfg.seed)) return usage(argv[0]);
-        } else if (arg == "--no-floorplan") {
-            cfg.run_floorplan = false;
-        } else if (arg == "--out") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            out_prefix = v;
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage(argv[0]);
-            if (ob == 1) continue;
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
+    const flags::Command cmd{
+        "sunfloor_cli (--design FILE | --benchmark NAME) [options]\n"
+        "       sunfloor_cli explore|simulate|generate|submit|status|result|"
+        "cas ...\n"
+        "       (each subcommand prints its own options)",
+        source_flags(src) + knob_flags(p, Knobs::FreqSweep) +
+            flags::Flags{
+                {"--out", "PREFIX",
+                 "write PREFIX_topology.dot, PREFIX_layer<k>.svg, "
+                 "PREFIX_points.csv",
+                 flags::text(out_prefix)},
+                {"--list-benchmarks", "",
+                 "print the built-in benchmark names and exit",
+                 flags::set_true(list_benchmarks)},
+            } +
+            sinks.flags()};
+    const flags::Parsed args = flags::parse(cmd, argc, argv, 1);
+    if (!args.ok) return flags::kUsageExit;
+    if (list_benchmarks) {
+        for (const auto& n : benchmark_names()) std::puts(n.c_str());
+        return 0;
     }
-    if (design_file.empty() == benchmark.empty()) return usage(argv[0]);
+    if (!src.one())
+        return flags::usage_error(cmd,
+                                  "give exactly one of --design, --benchmark");
     if (!sinks.open()) return 1;
 
     DesignSpec spec;
-    if (!load_spec(design_file, benchmark, spec)) return 1;
+    if (!load_spec(src, spec)) return 1;
+    const service::SynthSetup setup = service::synth_setup(p);
+    std::vector<double> freqs_hz;
+    for (const double mhz : p.freq_mhz) freqs_hz.push_back(mhz * 1e6);
+    if (freqs_hz.empty()) freqs_hz.push_back(setup.cfg.eval.freq_hz);
     std::printf("design '%s': %d cores, %d layers, %d flows\n",
                 spec.name.c_str(), spec.cores.num_cores(),
                 spec.cores.num_layers(), spec.comm.num_flows());
 
-    Synthesizer synth(spec, cfg);
-    const auto sweep = synth.run_frequency_sweep(freqs_hz, phase);
+    Synthesizer synth(spec, setup.cfg);
+    const auto sweep = synth.run_frequency_sweep(freqs_hz, setup.phase);
     if (!sinks.finish()) return 1;
     for (const auto& fp : sweep) {
         std::printf("\n=== %.0f MHz ===\n", fp.freq_hz / 1e6);
@@ -1132,96 +836,35 @@ int print_result_payload(const JsonValue& resp) {
 
 int run_submit(int argc, char** argv) {
     std::string connect;
-    std::string design_file;
-    std::string benchmark;
+    Source src;
     service::SubmitRequest sr;
     bool explore = false;
-
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--connect") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            connect = v;
-        } else if (arg == "--design") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            design_file = v;
-        } else if (arg == "--benchmark") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            benchmark = v;
-        } else if (arg == "--client") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            sr.client = v;
-        } else if (arg == "--explore") {
-            explore = true;
-        } else if (arg == "--freq") {
-            const char* v = next();
-            if (!v || !parse_double_list(v, sr.params.freq_mhz))
-                return usage(argv[0]);
-        } else if (arg == "--max-tsvs") {
-            const char* v = next();
-            if (!v || !parse_int_list(v, sr.params.max_tsvs))
-                return usage(argv[0]);
-        } else if (arg == "--width") {
-            const char* v = next();
-            if (!v || !parse_int_list(v, sr.params.width_bits))
-                return usage(argv[0]);
-        } else if (arg == "--theta") {
-            const char* v = next();
-            if (!v || !parse_double_list(v, sr.params.thetas))
-                return usage(argv[0]);
-        } else if (arg == "--phase") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            for (const auto& part : split(v, ',')) {
-                SynthesisPhase p;
-                if (!phase_from_string(part, p))
-                    return bad_enum_value("--phase", part.c_str(),
-                                          phase_choices());
-                sr.params.phases.push_back(p);
-            }
-        } else if (arg == "--routing") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            for (const auto& part : split(v, ',')) {
-                routing::RoutingPolicyId p;
-                if (!routing::routing_from_string(part, p))
-                    return bad_enum_value("--routing", part.c_str(),
-                                          routing::routing_choices());
-                sr.params.routings.push_back(p);
-            }
-        } else if (arg == "--alpha") {
-            const char* v = next();
-            if (!v || !parse_double(v, sr.params.alpha))
-                return usage(argv[0]);
-        } else if (arg == "--seed") {
-            const char* v = next();
-            if (!v || !parse_int64(v, sr.params.seed) || sr.params.seed < 0)
-                return usage(argv[0]);
-        } else if (arg == "--no-floorplan") {
-            sr.params.floorplan = false;
-        } else if (arg == "--wait") {
-            sr.wait = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    if (connect.empty()) {
-        std::fprintf(stderr, "submit requires --connect\n");
-        return 2;
-    }
-    if (design_file.empty() == benchmark.empty()) return usage(argv[0]);
+    const flags::Command cmd{
+        "sunfloor_cli submit --connect ADDR (--design FILE | --benchmark "
+        "NAME) [options]",
+        flags::Flags{connect_flag(connect)} + source_flags(src) +
+            flags::Flags{
+                {"--client", "NAME", "client name for quota accounting",
+                 flags::text(sr.client)},
+                {"--explore", "",
+                 "submit an explore job (axes take comma lists)",
+                 flags::set_true(explore)},
+            } +
+            knob_flags(sr.params, Knobs::Grid) +
+            flags::Flags{{"--wait", "",
+                          "block until done; the result CSV goes to stdout",
+                          flags::set_true(sr.wait)}}};
+    const flags::Parsed args = flags::parse(cmd, argc, argv, 2);
+    if (!args.ok) return flags::kUsageExit;
+    if (connect.empty())
+        return flags::usage_error(cmd, "submit requires --connect");
+    if (!src.one())
+        return flags::usage_error(cmd,
+                                  "give exactly one of --design, --benchmark");
     sr.kind = explore ? service::JobKind::Explore : service::JobKind::Synth;
 
     DesignSpec spec;
-    if (!load_spec(design_file, benchmark, spec)) return 1;
+    if (!load_spec(src, spec)) return 1;
     std::ostringstream os;
     write_design(os, spec);
     sr.spec_text = os.str();
@@ -1248,30 +891,20 @@ int run_job_query(int argc, char** argv, bool result_op) {
     std::string connect;
     long long id = -1;
     bool wait = false;
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--connect") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            connect = v;
-        } else if (arg == "--id") {
-            const char* v = next();
-            if (!v || !parse_int64(v, id) || id < 0) return usage(argv[0]);
-        } else if (result_op && arg == "--wait") {
-            wait = true;
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    if (connect.empty() || id < 0) {
-        std::fprintf(stderr, "%s requires --connect and --id\n",
-                     result_op ? "result" : "status");
-        return 2;
-    }
+    flags::Command cmd{
+        std::string("sunfloor_cli ") + (result_op ? "result" : "status") +
+            " --connect ADDR --id N" + (result_op ? " [--wait]" : ""),
+        {connect_flag(connect),
+         {"--id", "N", "job id", flags::one(id, flags::kNonNegative64)}}};
+    if (result_op)
+        cmd.flags.push_back({"--wait", "", "block until the job is done",
+                             flags::set_true(wait)});
+    const flags::Parsed args = flags::parse(cmd, argc, argv, 2);
+    if (!args.ok) return flags::kUsageExit;
+    if (connect.empty() || id < 0)
+        return flags::usage_error(
+            cmd, std::string(result_op ? "result" : "status") +
+                     " requires --connect and --id");
     const std::string frame =
         result_op
             ? service::make_result_frame(static_cast<std::uint64_t>(id),
@@ -1303,36 +936,20 @@ int run_job_query(int argc, char** argv, bool result_op) {
 /// artifact store (see cas/store.h). stats scans; gc reaps stale .tmp
 /// debris and evicts LRU objects down to --max-bytes.
 int run_cas(int argc, char** argv) {
-    if (argc < 3) return usage(argv[0]);
-    const std::string op = argv[2];
-    if (op != "stats" && op != "gc") {
-        std::fprintf(stderr, "unknown cas operation '%s'\n", op.c_str());
-        return usage(argv[0]);
-    }
     std::string dir;
     long long max_bytes = 0;
-    for (int i = 3; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (arg == "--cas") {
-            const char* v = next();
-            if (!v) return usage(argv[0]);
-            dir = v;
-        } else if (arg == "--max-bytes") {
-            const char* v = next();
-            if (!v || !parse_int64(v, max_bytes) || max_bytes < 0)
-                return usage(argv[0]);
-        } else {
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage(argv[0]);
-        }
-    }
-    if (dir.empty()) {
-        std::fprintf(stderr, "cas %s requires --cas <dir>\n", op.c_str());
-        return 2;
-    }
+    const flags::Command cmd{
+        "sunfloor_cli cas (stats | gc) --cas DIR [--max-bytes N]",
+        {{"--cas", "DIR", "the store directory", flags::text(dir)},
+         {"--max-bytes", "N", "gc: evict LRU objects down to this bound",
+          flags::one(max_bytes, flags::kNonNegative64)}}};
+    const std::string op = argc > 2 ? argv[2] : "";
+    if (op != "stats" && op != "gc")
+        return flags::usage_error(
+            cmd, "unknown cas operation '" + op + "' (expected stats|gc)");
+    if (!flags::parse(cmd, argc, argv, 3).ok) return flags::kUsageExit;
+    if (dir.empty())
+        return flags::usage_error(cmd, "cas " + op + " requires --cas DIR");
     try {
         cas::Store store(cas::StoreOptions{
             dir, static_cast<std::uint64_t>(max_bytes), 60.0});

@@ -1,15 +1,8 @@
 // sunfloor_lint — project-invariant checker (see sunfloor/lint/lint.h
 // for the rule catalogue and suppression syntax).
 //
-// Usage:
-//   sunfloor_lint [options] <file-or-dir>...
-//
-// Options:
-//   --format text|json     report format            (default text)
-//   --error-on-findings    exit 1 when findings remain (CI mode);
-//                          without it findings are reported but the
-//                          exit code stays 0
-//   --list-rules           print every rule id and exit
+// Usage: sunfloor_lint [options] <file-or-dir>... The flag table in
+// main() is the reference; a bad flag or no input prints it.
 //
 // Directories are walked recursively for *.h / *.cpp; directories named
 // "fixtures", ".git" or starting with "build" are skipped (the lint
@@ -27,6 +20,7 @@
 #include <vector>
 
 #include "sunfloor/lint/lint.h"
+#include "sunfloor/util/flags.h"
 #include "sunfloor/util/strings.h"
 
 namespace fs = std::filesystem;
@@ -96,43 +90,37 @@ bool collect(const fs::path& root, std::vector<SourceFile>& out) {
 int main(int argc, char** argv) {
     std::string fmt = "text";
     bool error_on_findings = false;
-    std::vector<fs::path> roots;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--format") {
-            if (++i >= argc) {
-                std::cerr << "sunfloor_lint: --format needs a value\n";
-                return 2;
-            }
-            fmt = argv[i];
-            if (fmt != "text" && fmt != "json") {
-                std::cerr << "sunfloor_lint: unknown format \"" << fmt
-                          << "\" (want text|json)\n";
-                return 2;
-            }
-        } else if (arg == "--error-on-findings") {
-            error_on_findings = true;
-        } else if (arg == "--list-rules") {
-            for (const char* id : sunfloor::lint::rule_ids())
-                std::cout << id << "\n";
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "sunfloor_lint: unknown option " << arg << "\n";
-            return 2;
-        } else {
-            roots.emplace_back(arg);
-        }
+    bool list_rules = false;
+    const sunfloor::flags::Parser<std::string> format =
+        [](const std::string& v, std::string& out) {
+            out = v;
+            return v == "text" || v == "json";
+        };
+    const sunfloor::flags::Command cmd{
+        "sunfloor_lint [options] <file-or-dir>...",
+        {{"--format", "text|json", "report format (default text)",
+          sunfloor::flags::one(fmt, format, "text|json")},
+         {"--error-on-findings", "",
+          "exit 1 when findings remain (CI mode); otherwise findings are "
+          "reported and the exit code stays 0",
+          sunfloor::flags::set_true(error_on_findings)},
+         {"--list-rules", "", "print every rule id and exit",
+          sunfloor::flags::set_true(list_rules)}},
+        "<file-or-dir>"};
+    const sunfloor::flags::Parsed args =
+        sunfloor::flags::parse(cmd, argc, argv, 1);
+    if (!args.ok) return sunfloor::flags::kUsageExit;
+    if (list_rules) {
+        for (const char* id : sunfloor::lint::rule_ids())
+            std::cout << id << "\n";
+        return 0;
     }
-    if (roots.empty()) {
-        std::cerr << "usage: sunfloor_lint [--format text|json] "
-                     "[--error-on-findings] [--list-rules] "
-                     "<file-or-dir>...\n";
-        return 2;
-    }
+    if (args.operands.empty())
+        return sunfloor::flags::usage_error(cmd, "no input files");
 
     std::vector<SourceFile> files;
-    for (const auto& root : roots)
+    for (const std::string& root : args.operands)
         if (!collect(root, files)) return 2;
 
     // Deterministic report order whatever the directory walk produced.

@@ -11,21 +11,8 @@
 // worker of `sunfloor_cli explore --shard-transport socket`; a slice
 // frame must fit --max-frame-bytes.
 //
-// Usage:
-//   sunfloord --listen <path|host:port> [options]
-//
-// Options:
-//   --listen <addr>           unix socket path (contains '/') or host:port
-//   --workers <n>             job worker threads; 0 = all cores (default 0)
-//   --queue-depth <n>         max queued jobs before queue-full (default 256)
-//   --quota <n>               max active jobs per client       (default 64)
-//   --sessions <n>            warm per-spec sessions kept, LRU (default 8)
-//   --explore-threads <n>     threads inside one explore job   (default 1)
-//   --conn-threads <n>        concurrent connections served    (default 4)
-//   --max-frame-bytes <n>     request frame size limit         (default 1MB)
-//   --trace <file>            span trace (service.request / service.job
-//                             plus the pipeline spans), written on exit
-//   --metrics <file|->        metrics snapshot JSON, written on exit
+// Usage: sunfloord --listen <path|host:port> [options]. The flag table
+// in main() is the reference; a bad or missing flag prints it.
 //
 // SIGINT/SIGTERM shut down gracefully: stop accepting, reject new
 // submissions ("shutting-down"), finish every accepted job and the
@@ -38,21 +25,15 @@
 
 #include "sunfloor/service/server.h"
 #include "sunfloor/tools/obs_sinks.h"
+#include "sunfloor/util/flags.h"
 #include "sunfloor/util/strings.h"
 
 using namespace sunfloor;
 
 namespace {
 
-int usage() {
-    std::fprintf(
-        stderr,
-        "usage: sunfloord --listen <path|host:port> [--workers N] "
-        "[--queue-depth N] [--quota N] [--sessions N] "
-        "[--explore-threads N] [--conn-threads N] [--max-frame-bytes N] "
-        "[--trace file] [--metrics file|-]\n");
-    return 2;
-}
+constexpr flags::Range<long long> kFrameBytes{
+    "an integer >= 1024", [](long long v) { return v >= 1024; }};
 
 // Signal handling: the handler may only touch async-signal-safe state,
 // so it writes one byte to the server's shutdown pipe and nothing else.
@@ -73,48 +54,35 @@ int main(int argc, char** argv) {
     service::ServerOptions opts;
     tools::ObsSinks sinks;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        auto int_flag = [&](int& out, int min_value) {
-            const char* v = next();
-            return v && parse_int(v, out) && out >= min_value;
-        };
-        if (arg == "--listen") {
-            const char* v = next();
-            if (!v) return usage();
-            opts.listen = v;
-        } else if (arg == "--workers") {
-            if (!int_flag(opts.engine.workers, 0)) return usage();
-        } else if (arg == "--queue-depth") {
-            if (!int_flag(opts.engine.queue_capacity, 1)) return usage();
-        } else if (arg == "--quota") {
-            if (!int_flag(opts.engine.per_client_quota, 1)) return usage();
-        } else if (arg == "--sessions") {
-            if (!int_flag(opts.engine.max_sessions, 1)) return usage();
-        } else if (arg == "--explore-threads") {
-            if (!int_flag(opts.engine.explore_threads, 1)) return usage();
-        } else if (arg == "--conn-threads") {
-            if (!int_flag(opts.conn_threads, 1)) return usage();
-        } else if (arg == "--max-frame-bytes") {
-            const char* v = next();
-            if (!v || !parse_int64(v, opts.max_frame_bytes) ||
-                opts.max_frame_bytes < 1024)
-                return usage();
-        } else {
-            const int ob = sinks.parse_flag(arg, next);
-            if (ob < 0) return usage();
-            if (ob == 1) continue;
-            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            return usage();
-        }
-    }
-    if (opts.listen.empty()) {
-        std::fprintf(stderr, "sunfloord requires --listen\n");
-        return usage();
-    }
+    const flags::Command cmd{
+        "sunfloord --listen ADDR [options]",
+        flags::Flags{
+            {"--listen", "ADDR",
+             "unix socket path (contains '/') or host:port",
+             flags::text(opts.listen)},
+            {"--workers", "N", "job worker threads; 0 = all cores (default 0)",
+             flags::one(opts.engine.workers, flags::kNonNegativeInt)},
+            {"--queue-depth", "N",
+             "max queued jobs before queue-full (default 256)",
+             flags::one(opts.engine.queue_capacity, flags::kPositiveInt)},
+            {"--quota", "N", "max active jobs per client (default 64)",
+             flags::one(opts.engine.per_client_quota, flags::kPositiveInt)},
+            {"--sessions", "N", "warm per-spec sessions kept, LRU (default 8)",
+             flags::one(opts.engine.max_sessions, flags::kPositiveInt)},
+            {"--explore-threads", "N",
+             "threads inside one explore job (default 1)",
+             flags::one(opts.engine.explore_threads, flags::kPositiveInt)},
+            {"--conn-threads", "N",
+             "concurrent connections served (default 4)",
+             flags::one(opts.conn_threads, flags::kPositiveInt)},
+            {"--max-frame-bytes", "N",
+             "request frame size limit, also bounds a shard_run slice "
+             "(default 1MB)",
+             flags::one(opts.max_frame_bytes, kFrameBytes)},
+        } + sinks.flags()};
+    if (!flags::parse(cmd, argc, argv, 1).ok) return flags::kUsageExit;
+    if (opts.listen.empty())
+        return flags::usage_error(cmd, "sunfloord requires --listen");
 
     if (!sinks.open()) return 1;
 
@@ -143,8 +111,9 @@ int main(int argc, char** argv) {
 
     const service::EngineStats st = server.engine().stats();
     std::printf("sunfloord: drained, %lld job(s) completed, %lld failed, "
-                "%lld rejected\n",
-                st.completed, st.failed, st.rejected);
+                "%lld rejected; %lld shard_run(s) served, %lld failed\n",
+                st.completed, st.failed, st.rejected, server.shards_ok(),
+                server.shards_failed());
     if (!sinks.finish()) return 1;
     return 0;
 }

@@ -32,8 +32,6 @@ class JsonParser {
     }
 
   private:
-    static constexpr int kMaxDepth = 64;
-
     std::string fail(const std::string& what) {
         if (error_.empty())
             error_ = format("%s at byte %zu", what.c_str(), pos_);
@@ -49,8 +47,8 @@ class JsonParser {
     }
 
     bool parse_value(JsonValue& out, int depth) {
-        if (depth > kMaxDepth) {
-            fail("nesting deeper than 64 levels");
+        if (depth > kJsonMaxDepth) {
+            fail(format("nesting deeper than %d levels", kJsonMaxDepth));
             return false;
         }
         if (pos_ >= text_.size()) {
@@ -92,27 +90,40 @@ class JsonParser {
         return true;
     }
 
+    bool digits() {
+        const std::size_t from = pos_;
+        while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+            ++pos_;
+        return pos_ > from;
+    }
+
+    bool accept(char c) {
+        if (pos_ >= text_.size() || text_[pos_] != c) return false;
+        ++pos_;
+        return true;
+    }
+
+    /// RFC 8259 number: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? —
+    /// no "+1", "1.", ".5" or "01".
     bool parse_number(JsonValue& out) {
         const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+        accept('-');
+        bool well_formed = accept('0') || digits();
         bool integral = true;
-        while (pos_ < text_.size()) {
-            const char c = text_[pos_];
-            if (c >= '0' && c <= '9') {
-                ++pos_;
-            } else if (c == '.' || c == 'e' || c == 'E' || c == '+' ||
-                       c == '-') {
-                integral = false;
-                ++pos_;
-            } else {
-                break;
-            }
+        if (well_formed && accept('.')) {
+            integral = false;
+            well_formed = digits();
+        }
+        if (well_formed && (accept('e') || accept('E'))) {
+            integral = false;
+            if (!accept('+')) accept('-');
+            well_formed = digits();
         }
         const std::string_view lexeme = text_.substr(start, pos_ - start);
         double d = 0.0;
         // parse_double is finite-only: "1e999" (overflow to inf) and any
         // nan/inf/hex spelling fail here rather than poisoning a knob.
-        if (lexeme.empty() || !parse_double(lexeme, d)) {
+        if (!well_formed || !parse_double(lexeme, d)) {
             pos_ = start;
             fail("malformed or non-finite number");
             return false;

@@ -1,4 +1,4 @@
-// Minimal strict JSON document parser for the service wire protocol.
+// Minimal strict JSON document parser.
 //
 // Deliberately stricter than the grammar where leniency would let bad
 // input through the same way the spec parser used to (PR 5): numbers must
@@ -7,8 +7,8 @@
 // names the byte offset of the problem. Text inside strings is passed
 // through verbatim (UTF-8 agnostic) with the standard escapes decoded.
 //
-// obs::validate_json stays the cheap syntax *checker* for multi-megabyte
-// traces; this is the *reader* for small protocol frames.
+// It is the project's one JSON reader: protocol frames, and in tests the
+// trace, metrics and lint reports the tools write.
 #pragma once
 
 #include <cstdint>
@@ -68,6 +68,10 @@ struct JsonParseResult {
     /// On failure: what went wrong and at which byte offset.
     std::string error;
 };
+
+/// Nesting bound of parse_json: a value may sit at most this many arrays
+/// or objects below the document root.
+inline constexpr int kJsonMaxDepth = 64;
 
 /// Parse one complete JSON document (trailing garbage is an error).
 JsonParseResult parse_json(std::string_view text);

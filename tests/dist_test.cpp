@@ -155,9 +155,10 @@ TEST(DistBoundaries, ContiguousBalancedAndExhaustive) {
                 EXPECT_LE(max_len - min_len, 1u);         // balanced
                 // Never more slices than points, never more than asked.
                 EXPECT_LE(bounds.size() - 1, n);
-                if (k >= 1)
+                if (k >= 1) {
                     EXPECT_LE(bounds.size() - 1,
                               static_cast<std::size_t>(k));
+                }
             }
         }
     }
@@ -523,6 +524,29 @@ TEST(DistFaults, ConfigErrorsAreTyped) {
         FAIL() << "expected DistError";
     } catch (const dist::DistError& e) {
         EXPECT_EQ(e.kind(), dist::DistErrorKind::Config);
+    }
+}
+
+TEST(DistFaults, OutOfDomainAlphaIsAnErrorFrameNotAPartition) {
+    // A shard_run frame carries its config unchecked; alpha outside
+    // [0, 1] must be refused before the partitioner sees negative edge
+    // weights, and the refusal must come back as an error frame.
+    for (const double alpha : {7.0, -2.0}) {
+        dist::ShardRequest req;
+        req.spec = make_benchmark("D_36_4");
+        req.base_cfg = fast_cfg();
+        req.base_cfg.alpha = alpha;
+        req.opts.num_threads = 1;
+        ParamGrid grid;
+        grid.set_axis(ParamAxis::thetas({4.0}));
+        req.points = grid.enumerate();
+        bool ok = true;
+        const std::string frame = dist::run_shard_frame(req, &ok);
+        EXPECT_FALSE(ok) << alpha;
+        std::string payload;
+        std::string err;
+        EXPECT_FALSE(dist::parse_response_frame(frame, payload, err));
+        EXPECT_NE(err.find("alpha"), std::string::npos) << err;
     }
 }
 

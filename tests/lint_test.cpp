@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "sunfloor/lint/lint.h"
-#include "sunfloor/obs/trace.h"
+#include "sunfloor/util/json.h"
 
 #ifndef _WIN32
 #include <sys/wait.h>
@@ -167,13 +167,14 @@ TEST(LintTest, JsonReportValidates) {
                               fixture("spec/writer.cpp")});
     ASSERT_FALSE(fs.empty());
     const std::string json = sunfloor::lint::to_json(fs);
-    std::string error;
-    EXPECT_TRUE(sunfloor::obs::validate_json(json, &error)) << error;
+    const sunfloor::JsonParseResult doc = sunfloor::parse_json(json);
+    EXPECT_TRUE(doc.ok) << doc.error;
     EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"count\": "), std::string::npos);
     // Empty reports are valid JSON too.
     const std::string empty = sunfloor::lint::to_json({});
-    EXPECT_TRUE(sunfloor::obs::validate_json(empty, &error)) << error;
+    const sunfloor::JsonParseResult empty_doc = sunfloor::parse_json(empty);
+    EXPECT_TRUE(empty_doc.ok) << empty_doc.error;
     EXPECT_NE(empty.find("\"count\": 0"), std::string::npos);
 }
 

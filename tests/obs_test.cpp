@@ -1,7 +1,7 @@
 // Observability layer units: metrics registry semantics (delegation,
 // histogram bucketing, reset, JSON schema), the span tracer (balanced
-// begin/end pairs, per-thread buffers, disabled-path no-ops) and the
-// validate_json checker the other obs tests lean on.
+// begin/end pairs, per-thread buffers, disabled-path no-ops); every
+// document they write must parse under parse_json, the one JSON reader.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,6 +14,7 @@
 
 #include "sunfloor/obs/metrics.h"
 #include "sunfloor/obs/trace.h"
+#include "sunfloor/util/json.h"
 
 namespace sunfloor::obs {
 namespace {
@@ -107,8 +108,8 @@ TEST(Metrics, JsonSnapshotHasStableSchemaAndSortedNames) {
     reg.histogram("h.occ", {1.0, 2.0}).observe(1.5);
     const std::string json = reg.to_json();
 
-    std::string err;
-    EXPECT_TRUE(validate_json(json, &err)) << err;
+    const JsonParseResult doc = parse_json(json);
+    EXPECT_TRUE(doc.ok) << doc.error;
     EXPECT_NE(json.find("\"schema_version\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
     EXPECT_NE(json.find("\"gauges\""), std::string::npos);
@@ -204,8 +205,8 @@ TEST(Trace, SpansProduceBalancedValidJson) {
     ASSERT_TRUE(stop_tracing(os));
     const std::string trace = os.str();
 
-    std::string err;
-    EXPECT_TRUE(validate_json(trace, &err)) << err;
+    const JsonParseResult doc = parse_json(trace);
+    EXPECT_TRUE(doc.ok) << doc.error;
     EXPECT_NE(trace.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
     // The span-name prefix before the first '.' is the category.
     EXPECT_NE(trace.find("\"name\": \"test.outer\", \"cat\": \"test\""),
@@ -237,8 +238,8 @@ TEST(Trace, PerThreadBuffersGetDistinctTids) {
     std::ostringstream os;
     ASSERT_TRUE(stop_tracing(os));
     const std::string trace = os.str();
-    std::string err;
-    EXPECT_TRUE(validate_json(trace, &err)) << err;
+    const JsonParseResult doc = parse_json(trace);
+    EXPECT_TRUE(doc.ok) << doc.error;
 
     const auto events = parse_events(trace);
     EXPECT_EQ(events.size(),
@@ -276,37 +277,40 @@ TEST(Trace, RestartAfterStopYieldsFreshTrace) {
     EXPECT_NE(second.str().find("test.second"), std::string::npos);
 }
 
-// ------------------------------------------------------- validate_json
+// ---------------------------------------------------------- parse_json
 
-TEST(ValidateJson, AcceptsWellFormedDocuments) {
+TEST(ParseJson, AcceptsWellFormedDocuments) {
     for (const char* text :
          {"{}", "[]", "null", "true", "false", "42", "-0.5", "1e9",
           "\"str\"", "{\"a\": [1, 2.5, -3e-2], \"b\": {\"c\": null}}",
           "\"esc \\\" \\\\ \\n \\u00e9\"", "[[[[1]]]]"}) {
-        std::string err;
-        EXPECT_TRUE(validate_json(text, &err)) << text << ": " << err;
+        const JsonParseResult doc = parse_json(text);
+        EXPECT_TRUE(doc.ok) << text << ": " << doc.error;
     }
 }
 
-TEST(ValidateJson, RejectsMalformedDocuments) {
+TEST(ParseJson, RejectsMalformedDocuments) {
     for (const char* text :
          {"", "{", "}", "{\"a\": }", "{\"a\" 1}", "[1, ]", "[1 2]",
           "{} extra", "nul", "+1", "-", "1.", "\"unterminated",
           "\"bad \\x escape\"", "\"ctrl \n char\"", "{'a': 1}",
           "{\"a\": 1,}"}) {
-        std::string err;
-        EXPECT_FALSE(validate_json(text, &err)) << text;
-        EXPECT_FALSE(err.empty()) << text;
+        const JsonParseResult doc = parse_json(text);
+        EXPECT_FALSE(doc.ok) << text;
+        EXPECT_FALSE(doc.error.empty()) << text;
     }
 }
 
-TEST(ValidateJson, RejectsExcessiveNesting) {
-    std::string deep(300, '[');
-    deep += std::string(300, ']');
-    EXPECT_FALSE(validate_json(deep));
-    std::string ok(200, '[');
-    ok += std::string(200, ']');
-    EXPECT_TRUE(validate_json(ok));
+TEST(ParseJson, NestingIsBoundedByMaxDepth) {
+    const auto nested = [](int depth) {
+        return std::string(static_cast<std::size_t>(depth), '[') + "1" +
+               std::string(static_cast<std::size_t>(depth), ']');
+    };
+    EXPECT_TRUE(parse_json(nested(kJsonMaxDepth)).ok);
+    const JsonParseResult deep = parse_json(nested(kJsonMaxDepth + 1));
+    EXPECT_FALSE(deep.ok);
+    EXPECT_NE(deep.error.find("nesting deeper than"), std::string::npos)
+        << deep.error;
 }
 
 }  // namespace

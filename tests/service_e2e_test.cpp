@@ -325,6 +325,39 @@ TEST_F(ServiceE2E, OneServerServesSubmitAndShardRunConcurrently) {
     EXPECT_EQ(csv->as_string(), want_csv);
 }
 
+TEST_F(ServiceE2E, ShardRunsAreCountedOkOrFailedInStats) {
+    const DesignSpec spec = e2e_spec();
+    dist::ShardRequest good = shard_request(spec);
+    good.points.resize(1);
+    const JsonValue ok = call(dist::make_shard_run_frame(good));
+    EXPECT_TRUE(ok_of(ok)) << error_of(ok);
+
+    // alpha outside [0, 1] would give the partition graph negative
+    // weights; the pipeline refuses it and the worker answers an error
+    // frame instead of partitioning (which corrupted the heap).
+    dist::ShardRequest bad = good;
+    bad.base_cfg.alpha = 7.0;
+    const JsonValue err = call(dist::make_shard_run_frame(bad));
+    EXPECT_FALSE(ok_of(err));
+    EXPECT_NE(error_of(err).find("alpha"), std::string::npos)
+        << error_of(err);
+
+    const JsonValue resp = call(make_stats_frame());
+    ASSERT_TRUE(ok_of(resp)) << error_of(resp);
+    const JsonValue* stats = resp.find("stats");
+    ASSERT_TRUE(stats && stats->is_object());
+    const auto count = [&](const char* key) {
+        const JsonValue* v = stats->find(key);
+        EXPECT_TRUE(v && v->is_integer()) << key;
+        return v && v->is_integer() ? v->as_int64() : -1;
+    };
+    EXPECT_EQ(count("shards_ok"), 1);
+    EXPECT_EQ(count("shards_failed"), 1);
+    EXPECT_EQ(count("submitted"), 0);  // shard work bypasses the engine
+    EXPECT_EQ(server_->shards_ok(), 1);
+    EXPECT_EQ(server_->shards_failed(), 1);
+}
+
 TEST_F(ServiceE2E, ShutdownDuringShardRunStillReturnsTheFullResponse) {
     const dist::ShardRequest sreq = shard_request(e2e_spec(3));
     const std::string want = comparable(dist::InprocTransport().run(sreq));
