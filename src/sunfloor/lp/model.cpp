@@ -5,10 +5,8 @@
 
 namespace sunfloor {
 
-int LpProblem::add_variable(double objective_coeff, std::string name) {
+int LpProblem::add_variable(double objective_coeff) {
     obj_.push_back(objective_coeff);
-    if (name.empty()) name = "x" + std::to_string(obj_.size() - 1);
-    names_.push_back(std::move(name));
     return num_variables() - 1;
 }
 

@@ -7,7 +7,6 @@
 // relations, and a linear objective to minimize.
 #pragma once
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,7 +28,7 @@ struct LpResult {
 class LpProblem {
   public:
     /// Add a variable with the given objective coefficient. Returns its id.
-    int add_variable(double objective_coeff, std::string name = "");
+    int add_variable(double objective_coeff);
 
     /// Add a constraint sum(coeff_i * x_i) REL rhs. Terms may repeat a
     /// variable; coefficients are summed.
@@ -40,9 +39,6 @@ class LpProblem {
     int num_constraints() const { return static_cast<int>(rows_.size()); }
 
     const std::vector<double>& objective() const { return obj_; }
-    const std::string& variable_name(int v) const {
-        return names_.at(static_cast<std::size_t>(v));
-    }
 
     struct Row {
         std::vector<std::pair<int, double>> terms;
@@ -59,7 +55,6 @@ class LpProblem {
 
   private:
     std::vector<double> obj_;
-    std::vector<std::string> names_;
     std::vector<Row> rows_;
 };
 

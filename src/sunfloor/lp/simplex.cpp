@@ -10,80 +10,92 @@
 namespace sunfloor {
 namespace {
 
-// Tableau layout: rows 0..m-1 are constraints (equality form, rhs >= 0),
-// columns 0..ncols-1 are structural + slack/surplus + artificial variables,
-// column ncols holds the rhs. `basis[r]` is the column basic in row r.
+// Tableau layout: rows 0..m-1 are constraints (equality form, rhs >= 0)
+// stored back to back in `a`, `stride` = ncols+1 entries each. Columns
+// 0..ncols-1 are structural + slack/surplus + artificial variables and
+// column ncols holds the rhs. Only columns 0..live-1 are priced and
+// updated; `live` drops the artificials once phase 1 is over. `basis[r]`
+// is the column basic in row r.
 struct Tableau {
     int m = 0;
     int ncols = 0;
-    std::vector<std::vector<double>> a;  // m rows, ncols+1 entries each
+    int live = 0;
+    std::size_t stride = 0;
+    std::vector<double> a;
     std::vector<int> basis;
+    std::vector<int> nz;      // pivot-row nonzero columns, reused per pivot
+    std::vector<double> red;  // reduced costs, reused per iteration
 
-    double& at(int r, int c) {
-        return a[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)];
+    double* row(int r) {
+        return a.data() + static_cast<std::size_t>(r) * stride;
     }
-    double at(int r, int c) const {
-        return a[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)];
+    const double* row(int r) const {
+        return a.data() + static_cast<std::size_t>(r) * stride;
     }
-    double& rhs(int r) { return at(r, ncols); }
-    double rhs(int r) const { return at(r, ncols); }
+    double at(int r, int c) const { return row(r)[c]; }
+    double rhs(int r) const { return row(r)[ncols]; }
 };
 
+// Updates a row only at the pivot row's nonzero columns: there
+// `row[c] - factor * 0` would leave a nonzero unchanged and could only
+// flip the sign of a zero, which no pivot decision reads. The rhs column
+// is updated on every pivot even when the pivot row's rhs is zero,
+// because the solution is read from it and must keep its signed zeros.
 void pivot(Tableau& t, int pr, int pc) {
-    auto& prow = t.a[static_cast<std::size_t>(pr)];
-    const double pv = prow[static_cast<std::size_t>(pc)];
-    for (double& v : prow) v /= pv;
+    double* prow = t.row(pr);
+    const double pv = prow[pc];
+    t.nz.clear();
+    for (int c = 0; c < t.live; ++c) {
+        prow[c] /= pv;
+        if (prow[c] != 0.0) t.nz.push_back(c);
+    }
+    prow[t.ncols] /= pv;
+    const double prhs = prow[t.ncols];
     for (int r = 0; r < t.m; ++r) {
         if (r == pr) continue;
-        auto& row = t.a[static_cast<std::size_t>(r)];
-        const double factor = row[static_cast<std::size_t>(pc)];
+        double* row = t.row(r);
+        const double factor = row[pc];
         if (factor == 0.0) continue;
-        for (int c = 0; c <= t.ncols; ++c)
-            row[static_cast<std::size_t>(c)] -=
-                factor * prow[static_cast<std::size_t>(c)];
+        for (const int c : t.nz) row[c] -= factor * prow[c];
+        row[t.ncols] -= factor * prhs;
         // Clean the pivot column exactly to avoid drift.
-        row[static_cast<std::size_t>(pc)] = 0.0;
+        row[pc] = 0.0;
     }
     t.basis[static_cast<std::size_t>(pr)] = pc;
 }
 
 // Reduced costs for objective `cost` given the current basis:
-// z_j = c_j - c_B^T B^{-1} A_j, computed directly from the tableau.
-std::vector<double> reduced_costs(const Tableau& t,
-                                  const std::vector<double>& cost) {
-    std::vector<double> red(static_cast<std::size_t>(t.ncols));
-    for (int c = 0; c < t.ncols; ++c) {
-        double z = cost[static_cast<std::size_t>(c)];
-        for (int r = 0; r < t.m; ++r) {
-            const double cb =
-                cost[static_cast<std::size_t>(t.basis[static_cast<std::size_t>(r)])];
-            if (cb != 0.0) z -= cb * t.at(r, c);
-        }
-        red[static_cast<std::size_t>(c)] = z;
+// z_j = c_j - c_B^T B^{-1} A_j, computed directly from the tableau one
+// row at a time. Each column sees its subtractions in row order.
+void reduced_costs(Tableau& t, const std::vector<double>& cost) {
+    t.red.assign(cost.begin(), cost.begin() + t.live);
+    double* red = t.red.data();
+    for (int r = 0; r < t.m; ++r) {
+        const int b = t.basis[static_cast<std::size_t>(r)];
+        const double cb = cost[static_cast<std::size_t>(b)];
+        if (cb == 0.0) continue;
+        const double* row = t.row(r);
+        for (int c = 0; c < t.live; ++c) red[c] -= cb * row[c];
     }
-    return red;
 }
 
 enum class PhaseOutcome { Optimal, Unbounded, IterationLimit };
 
-// Run simplex minimizing `cost` over the tableau; `allowed[c]` false bans a
-// column from entering (used to keep artificials out in phase 2).
+// Run simplex minimizing `cost` over the live columns of the tableau.
 PhaseOutcome run_phase(Tableau& t, const std::vector<double>& cost,
-                       const std::vector<char>& allowed,
                        const SimplexOptions& opts, int& iterations) {
     for (;;) {
         if (iterations >= opts.max_iterations)
             return PhaseOutcome::IterationLimit;
         const bool bland = iterations >= opts.bland_after;
-        const auto red = reduced_costs(t, cost);
+        reduced_costs(t, cost);
 
         // Entering column: most negative reduced cost (Dantzig) or the
         // first negative one (Bland).
         int pc = -1;
         double best = -opts.tol;
-        for (int c = 0; c < t.ncols; ++c) {
-            if (!allowed[static_cast<std::size_t>(c)]) continue;
-            const double rc = red[static_cast<std::size_t>(c)];
+        for (int c = 0; c < t.live; ++c) {
+            const double rc = t.red[static_cast<std::size_t>(c)];
             if (rc < best) {
                 best = rc;
                 pc = c;
@@ -115,87 +127,73 @@ PhaseOutcome run_phase(Tableau& t, const std::vector<double>& cost,
     }
 }
 
+// The relation of a row once it is normalized to rhs >= 0.
+Relation normalized(const LpProblem::Row& r) {
+    if (r.rhs < 0.0 && r.rel != Relation::Equal)
+        return r.rel == Relation::LessEq ? Relation::GreaterEq
+                                         : Relation::LessEq;
+    return r.rel;
+}
+
 LpResult solve_lp_impl(const LpProblem& problem, const SimplexOptions& opts) {
     const int n = problem.num_variables();
     const int m = problem.num_constraints();
 
-    // Count auxiliary columns. Rows are first normalized to rhs >= 0.
-    struct NormRow {
-        std::vector<double> coeff;  // dense structural coefficients
-        Relation rel;
-        double rhs;
-    };
-    std::vector<NormRow> norm;
-    norm.reserve(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) {
-        const auto& r = problem.row(i);
-        NormRow nr;
-        nr.coeff.assign(static_cast<std::size_t>(n), 0.0);
-        for (const auto& [v, c] : r.terms)
-            nr.coeff[static_cast<std::size_t>(v)] += c;
-        nr.rel = r.rel;
-        nr.rhs = r.rhs;
-        if (nr.rhs < 0.0) {
-            for (double& c : nr.coeff) c = -c;
-            nr.rhs = -nr.rhs;
-            if (nr.rel == Relation::LessEq)
-                nr.rel = Relation::GreaterEq;
-            else if (nr.rel == Relation::GreaterEq)
-                nr.rel = Relation::LessEq;
-        }
-        norm.push_back(std::move(nr));
-    }
-
     int num_slack = 0;
     int num_art = 0;
-    for (const auto& r : norm) {
-        if (r.rel != Relation::Equal) ++num_slack;  // slack or surplus
-        if (r.rel != Relation::LessEq) ++num_art;   // = and >= need artificials
+    for (int i = 0; i < m; ++i) {
+        const Relation rel = normalized(problem.row(i));
+        if (rel != Relation::Equal) ++num_slack;  // slack or surplus
+        if (rel != Relation::LessEq) ++num_art;   // = and >= need artificials
     }
 
     Tableau t;
     t.m = m;
     t.ncols = n + num_slack + num_art;
-    t.a.assign(static_cast<std::size_t>(m),
-               std::vector<double>(static_cast<std::size_t>(t.ncols) + 1, 0.0));
+    t.live = t.ncols;
+    t.stride = static_cast<std::size_t>(t.ncols) + 1;
+    t.a.assign(static_cast<std::size_t>(m) * t.stride, 0.0);
     t.basis.assign(static_cast<std::size_t>(m), -1);
 
-    std::vector<int> art_cols;
+    // Each row is summed in term order and, when its rhs is negative,
+    // negated afterwards. Artificials take columns n+num_slack..ncols-1.
     int slack_at = n;
     int art_at = n + num_slack;
     for (int r = 0; r < m; ++r) {
-        const auto& nr = norm[static_cast<std::size_t>(r)];
-        for (int c = 0; c < n; ++c)
-            t.at(r, c) = nr.coeff[static_cast<std::size_t>(c)];
-        t.rhs(r) = nr.rhs;
-        switch (nr.rel) {
+        const auto& pr = problem.row(r);
+        double* row = t.row(r);
+        for (const auto& [v, c] : pr.terms) row[v] += c;
+        row[t.ncols] = pr.rhs;
+        if (pr.rhs < 0.0) {
+            for (int c = 0; c < n; ++c) row[c] = -row[c];
+            row[t.ncols] = -pr.rhs;
+        }
+        switch (normalized(pr)) {
             case Relation::LessEq:
-                t.at(r, slack_at) = 1.0;
+                row[slack_at] = 1.0;
                 t.basis[static_cast<std::size_t>(r)] = slack_at++;
                 break;
             case Relation::GreaterEq:
-                t.at(r, slack_at) = -1.0;  // surplus
+                row[slack_at] = -1.0;  // surplus
                 ++slack_at;
-                t.at(r, art_at) = 1.0;
-                t.basis[static_cast<std::size_t>(r)] = art_at;
-                art_cols.push_back(art_at++);
+                row[art_at] = 1.0;
+                t.basis[static_cast<std::size_t>(r)] = art_at++;
                 break;
             case Relation::Equal:
-                t.at(r, art_at) = 1.0;
-                t.basis[static_cast<std::size_t>(r)] = art_at;
-                art_cols.push_back(art_at++);
+                row[art_at] = 1.0;
+                t.basis[static_cast<std::size_t>(r)] = art_at++;
                 break;
         }
     }
 
-    std::vector<char> allowed(static_cast<std::size_t>(t.ncols), 1);
     int iterations = 0;
 
     // Phase 1: minimize the sum of artificials.
     if (num_art > 0) {
         std::vector<double> cost1(static_cast<std::size_t>(t.ncols), 0.0);
-        for (int c : art_cols) cost1[static_cast<std::size_t>(c)] = 1.0;
-        const auto out = run_phase(t, cost1, allowed, opts, iterations);
+        for (int c = n + num_slack; c < t.ncols; ++c)
+            cost1[static_cast<std::size_t>(c)] = 1.0;
+        const auto out = run_phase(t, cost1, opts, iterations);
         if (out == PhaseOutcome::IterationLimit)
             return {LpStatus::IterationLimit, 0.0, {}, iterations};
         // Unbounded is impossible in phase 1 (objective bounded below by 0).
@@ -206,6 +204,10 @@ LpResult solve_lp_impl(const LpProblem& problem, const SimplexOptions& opts) {
         }
         if (art_sum > 1e-7)
             return {LpStatus::Infeasible, 0.0, {}, iterations};
+
+        // From here on the artificial columns may not enter and are never
+        // read again, so pivots stop pricing and updating them.
+        t.live = n + num_slack;
 
         // Drive remaining (degenerate, rhs==0) artificials out of the basis
         // where possible; rows that cannot pivot are redundant and harmless.
@@ -219,15 +221,15 @@ LpResult solve_lp_impl(const LpProblem& problem, const SimplexOptions& opts) {
                 }
             }
         }
-        for (int c : art_cols) allowed[static_cast<std::size_t>(c)] = 0;
     }
 
-    // Phase 2: original objective (artificials banned from entering).
+    // Phase 2: original objective over the live columns. Artificials left
+    // basic in redundant rows keep cost 0.
     std::vector<double> cost2(static_cast<std::size_t>(t.ncols), 0.0);
     for (int v = 0; v < n; ++v)
         cost2[static_cast<std::size_t>(v)] =
             problem.objective()[static_cast<std::size_t>(v)];
-    const auto out = run_phase(t, cost2, allowed, opts, iterations);
+    const auto out = run_phase(t, cost2, opts, iterations);
     if (out == PhaseOutcome::IterationLimit)
         return {LpStatus::IterationLimit, 0.0, {}, iterations};
     if (out == PhaseOutcome::Unbounded)

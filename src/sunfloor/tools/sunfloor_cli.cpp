@@ -8,6 +8,7 @@
 // (`sunfloor_cli explore`) prints it. Exit codes: 0 success, 1 run or
 // I/O failure, 2 usage error, 3 a retryable daemon rejection.
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -934,7 +935,8 @@ int run_job_query(int argc, char** argv, bool result_op) {
 
 /// `cas stats` / `cas gc`: operator surface of the content-addressed
 /// artifact store (see cas/store.h). stats scans; gc reaps stale .tmp
-/// debris and evicts LRU objects down to --max-bytes.
+/// debris and evicts LRU objects down to --max-bytes. Neither creates a
+/// store: a DIR that is not an existing directory is an error.
 int run_cas(int argc, char** argv) {
     std::string dir;
     long long max_bytes = 0;
@@ -950,6 +952,11 @@ int run_cas(int argc, char** argv) {
     if (!flags::parse(cmd, argc, argv, 3).ok) return flags::kUsageExit;
     if (dir.empty())
         return flags::usage_error(cmd, "cas " + op + " requires --cas DIR");
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec)) {
+        std::fprintf(stderr, "no store at %s\n", dir.c_str());
+        return 1;
+    }
     try {
         cas::Store store(cas::StoreOptions{
             dir, static_cast<std::uint64_t>(max_bytes), 60.0});

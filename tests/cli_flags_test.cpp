@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <set>
@@ -287,6 +288,31 @@ TEST(CliFlags, UsageErrorsNameTheFlag) {
     EXPECT_EQ(daemon.rc, 2);
     EXPECT_EQ(daemon.err, "bad --workers value '-1' (expected a "
                           "non-negative integer)\n");
+}
+
+TEST(CliCas, StatsAndGcRefuseAMissingStoreAndCreateNothing) {
+    TempDir dir;
+    const std::string missing = dir.path + "/no_such_store";
+    const std::string file = dir.path + "/plain_file";
+    std::ofstream(file) << "not a store\n";
+    for (const std::string op : {"stats", "gc"}) {
+        for (const std::string& path : {missing, file}) {
+            const Outcome r = run_captured(
+                SUNFLOOR_CLI_BIN, "cas " + op + " --cas " + path, dir.path);
+            EXPECT_EQ(r.rc, 1) << op << " " << path;
+            EXPECT_EQ(r.err, "no store at " + path + "\n");
+            EXPECT_EQ(r.out, "");
+        }
+        EXPECT_FALSE(std::filesystem::exists(missing)) << op;
+        EXPECT_TRUE(std::filesystem::is_regular_file(file)) << op;
+    }
+    // An existing directory still reads as a store.
+    const std::string store = dir.path + "/store";
+    std::filesystem::create_directory(store);
+    const Outcome ok =
+        run_captured(SUNFLOOR_CLI_BIN, "cas stats --cas " + store, dir.path);
+    EXPECT_EQ(ok.rc, 0) << ok.err;
+    EXPECT_EQ(ok.out, store + ": 0 object(s), 0.00 MB\n");
 }
 
 // ------------------------------------------------- repeated flags, served

@@ -13,7 +13,7 @@ DesignSpec ring_spec() {
     DesignSpec spec;
     for (int i = 0; i < 4; ++i) {
         Core c;
-        c.name = "c" + std::to_string(i);
+        c.name = std::string("c").append(std::to_string(i));
         c.width = 1;
         c.height = 1;
         c.layer = 0;
@@ -30,7 +30,7 @@ DesignSpec ring_spec() {
 Topology ring_topology(const DesignSpec& spec, bool cyclic) {
     Topology t(spec.cores, spec.comm.num_flows());
     for (int i = 0; i < 4; ++i)
-        t.add_switch("s" + std::to_string(i), 0, {0, 0});
+        t.add_switch(std::string("s").append(std::to_string(i)), 0, {0, 0});
     std::vector<int> c2s;
     std::vector<int> s2c;
     std::vector<int> ring;
@@ -80,7 +80,7 @@ TEST(Deadlock, ClassCdgFiltersByClass) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
-        c.name = "c" + std::to_string(i);
+        c.name = std::string("c").append(std::to_string(i));
         c.width = 1;
         c.height = 1;
         spec.cores.add_core(c);
@@ -117,7 +117,7 @@ TEST(Deadlock, SharedChannelDetected) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
-        c.name = "x" + std::to_string(i);
+        c.name = std::string("x").append(std::to_string(i));
         c.width = 1;
         c.height = 1;
         spec.cores.add_core(c);
@@ -172,7 +172,7 @@ TEST(Deadlock, MixedClassLinksCoupleRequestsAndResponses) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
-        c.name = "m" + std::to_string(i);
+        c.name = std::string("m").append(std::to_string(i));
         c.width = 1;
         c.height = 1;
         spec.cores.add_core(c);

@@ -34,7 +34,7 @@ DesignSpec small_spec() {
     DesignSpec spec;
     for (int c = 0; c < 4; ++c) {
         Core core;
-        core.name = "c" + std::to_string(c);
+        core.name = std::string("c").append(std::to_string(c));
         core.position = {1.1 * c, 0.0};
         spec.cores.add_core(core);
     }

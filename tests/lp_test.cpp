@@ -1,4 +1,4 @@
-// Tests for the dense two-phase simplex solver against hand-solved LPs.
+// Tests for the two-phase simplex solver against hand-solved LPs.
 #include <gtest/gtest.h>
 
 #include "sunfloor/lp/simplex.h"

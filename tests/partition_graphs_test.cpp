@@ -107,7 +107,7 @@ TEST(Lpg, IsolatedVerticesGetTinyEdges) {
     CoreSpec cores;
     for (int i = 0; i < 3; ++i) {
         Core c;
-        c.name = "c" + std::to_string(i);
+        c.name = std::string("c").append(std::to_string(i));
         c.width = 1;
         c.height = 1;
         c.layer = 0;

@@ -201,7 +201,7 @@ TEST(RoutingPolicy, OversubscribedSpecReportsCapacityViolations) {
     DesignSpec spec;
     for (int i = 0; i < 2; ++i) {
         Core c;
-        c.name = "c" + std::to_string(i);
+        c.name = std::string("c").append(std::to_string(i));
         c.width = 1;
         c.height = 1;
         spec.cores.add_core(c);

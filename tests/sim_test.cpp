@@ -36,7 +36,8 @@ struct StarFixture {
     StarFixture(int num_cores, const std::vector<Flow>& flows) {
         for (int c = 0; c < num_cores; ++c)
             spec.cores.add_core(
-                make_core("c" + std::to_string(c), 1.1 * c, 0.0));
+                make_core(std::string("c").append(std::to_string(c)),
+                          1.1 * c, 0.0));
         for (const Flow& f : flows) spec.comm.add_flow(f);
         topo = Topology(spec.cores, spec.comm.num_flows());
         const int sw = topo.add_switch("sw0", 0, {0.5, 1.0});
@@ -215,7 +216,9 @@ TEST(Sim, BurstyKeepsMeanRateButDegradesLatency) {
 TEST(Sim, HotspotBoostsRatesIntoTheHotCore) {
     DesignSpec spec;
     for (int c = 0; c < 4; ++c)
-        spec.cores.add_core(make_core("c" + std::to_string(c), 1.1 * c, 0.0));
+        spec.cores.add_core(
+            make_core(std::string("c").append(std::to_string(c)), 1.1 * c,
+                      0.0));
     spec.comm.add_flow({0, 3, kBw, 0.0, FlowType::Request});
     spec.comm.add_flow({1, 3, kBw, 0.0, FlowType::Request});
     spec.comm.add_flow({1, 2, kBw, 0.0, FlowType::Request});
