@@ -934,16 +934,16 @@ int run_job_query(int argc, char** argv, bool result_op) {
 }
 
 /// `cas stats` / `cas gc`: operator surface of the content-addressed
-/// artifact store (see cas/store.h). stats scans; gc reaps stale .tmp
-/// debris and evicts LRU objects down to --max-bytes. Neither creates a
-/// store: a DIR that is not an existing directory is an error.
+/// artifact store (see cas/store.h). stats scans the packs; gc removes
+/// old-layout debris and evicts LRU packs down to --max-bytes. Neither
+/// creates a store: a DIR that is not an existing directory is an error.
 int run_cas(int argc, char** argv) {
     std::string dir;
     long long max_bytes = 0;
     const flags::Command cmd{
         "sunfloor_cli cas (stats | gc) --cas DIR [--max-bytes N]",
         {{"--cas", "DIR", "the store directory", flags::text(dir)},
-         {"--max-bytes", "N", "gc: evict LRU objects down to this bound",
+         {"--max-bytes", "N", "gc: evict LRU packs down to this bound",
           flags::one(max_bytes, flags::kNonNegative64)}}};
     const std::string op = argc > 2 ? argv[2] : "";
     if (op != "stats" && op != "gc")
@@ -962,22 +962,26 @@ int run_cas(int argc, char** argv) {
             dir, static_cast<std::uint64_t>(max_bytes), 60.0});
         if (op == "gc") {
             const cas::GcResult g = store.gc();
-            std::printf("gc %s: evicted %llu object(s) (%.2f MB), "
-                        "removed %llu stale tmp file(s)\n",
+            std::printf("gc %s: evicted %llu pack(s) (%.2f MB), "
+                        "removed %llu debris file(s)\n",
                         dir.c_str(),
-                        static_cast<unsigned long long>(g.evicted_objects),
+                        static_cast<unsigned long long>(g.evicted_packs),
                         static_cast<double>(g.evicted_bytes) / 1e6,
-                        static_cast<unsigned long long>(g.removed_tmp));
+                        static_cast<unsigned long long>(g.removed_debris));
         }
         const cas::StoreStats s = store.stats();
         std::printf("%s: %llu object(s), %.2f MB",
                     dir.c_str(),
                     static_cast<unsigned long long>(s.objects),
                     static_cast<double>(s.object_bytes) / 1e6);
-        if (s.tmp_files > 0)
-            std::printf("; %llu tmp file(s), %.2f MB",
-                        static_cast<unsigned long long>(s.tmp_files),
-                        static_cast<double>(s.tmp_bytes) / 1e6);
+        if (s.packs > 0)
+            std::printf(" in %llu pack(s) of %.2f MB",
+                        static_cast<unsigned long long>(s.packs),
+                        static_cast<double>(s.pack_bytes) / 1e6);
+        if (s.debris_files > 0)
+            std::printf("; %llu debris file(s), %.2f MB",
+                        static_cast<unsigned long long>(s.debris_files),
+                        static_cast<double>(s.debris_bytes) / 1e6);
         if (max_bytes > 0)
             std::printf("; bound %.2f MB",
                         static_cast<double>(max_bytes) / 1e6);
